@@ -9,10 +9,9 @@
 //! sampling point for staleness measurement.
 
 use gossip_net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic per-node signal: `value(i, t) = base(i) + drift · t`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SignalModel {
     /// Lower bound of the per-node base level.
     pub lo: f64,

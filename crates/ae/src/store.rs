@@ -13,14 +13,13 @@
 //! rejoiner's fresh entries always supersede its pre-crash ones.
 
 use gossip_net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Timestamps are carried in this many bits on the modelled wire.
 pub const STAMP_BITS: u32 = 32;
 
 /// One origin's value, stamped with the origin's virtual clock at update
 /// time. Stamps are always ≥ 1 (`0` is the digest code for "absent").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Entry {
     /// The origin's virtual time (µs) when it produced this value.
     pub stamp: u64,
@@ -69,7 +68,7 @@ pub fn sparse_digest_well_formed(n: usize, pairs: &[(NodeId, u64)]) -> bool {
 }
 
 /// Per-origin stamped values with max-timestamp merge. See the module docs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Store {
     slots: Vec<Option<Entry>>,
 }

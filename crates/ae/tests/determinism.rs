@@ -6,7 +6,7 @@
 //! runtime determinism suite, so CI's matrix re-runs this ladder with an
 //! uneven count in the mix.
 
-use gossip_ae::{ae_driver, ae_sharded_driver, AeConfig, AeNodeStats, DigestMode, SignalModel};
+use gossip_ae::{ae_sharded_driver, AeConfig, AeNodeStats, DigestMode, SignalModel};
 use gossip_net::SimConfig;
 use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel};
 
@@ -115,10 +115,10 @@ fn merkle_mode_order_hash_is_shard_count_invariant() {
 #[test]
 fn merkle_mode_runs_reproduce_bit_for_bit_and_differ_across_seeds() {
     let run = |seed| {
-        let mut d = ae_driver(engine_config(seed), merkle_config());
+        let mut d = ae_sharded_driver(engine_config(seed), merkle_config(), 1);
         d.run_until(150_000);
-        let stores: Vec<Vec<u64>> = d.handlers().iter().map(|h| h.store().digest()).collect();
-        (d.metrics().order_hash, stores)
+        let stores: Vec<Vec<u64>> = d.iter_handlers().map(|(_, h)| h.store().digest()).collect();
+        (d.order_hash(), stores)
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9).0, run(10).0, "different seeds schedule differently");
@@ -141,10 +141,10 @@ fn dense_and_merkle_modes_schedule_differently_but_converge_identically() {
             .with_update_us(0)
             .with_digest_mode(mode)
             .with_merkle_fallback_slots(8);
-        let mut d = ae_driver(config, ae);
+        let mut d = ae_sharded_driver(config, ae, 1);
         d.run_until(200_000);
-        let stores: Vec<Vec<u64>> = d.handlers().iter().map(|h| h.store().digest()).collect();
-        (d.metrics().order_hash, stores)
+        let stores: Vec<Vec<u64>> = d.iter_handlers().map(|(_, h)| h.store().digest()).collect();
+        (d.order_hash(), stores)
     };
     let (dense_hash, dense_stores) = run(DigestMode::Dense);
     let (merkle_hash, merkle_stores) = run(DigestMode::Merkle);

@@ -1,10 +1,8 @@
 //! Centralised (exact) reference aggregates.
 
-use serde::{Deserialize, Serialize};
-
 /// All standard aggregates of a value vector, computed exactly in one pass.
 /// Used as ground truth when measuring the error of gossip estimates.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExactAggregates {
     /// Number of values.
     pub count: usize,

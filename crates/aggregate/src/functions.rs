@@ -7,8 +7,6 @@
 //! This is precisely the structure that Phase II (convergecast) and the
 //! tree-root gossip of Phase III operate on.
 
-use serde::{Deserialize, Serialize};
-
 /// A distributive/algebraic aggregate function computable by combining
 /// partial states.
 pub trait Aggregate: Clone {
@@ -44,7 +42,7 @@ pub trait Aggregate: Clone {
 }
 
 /// Maximum of the node values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Max;
 
 impl Aggregate for Max {
@@ -72,7 +70,7 @@ impl Aggregate for Max {
 }
 
 /// Minimum of the node values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Min;
 
 impl Aggregate for Min {
@@ -100,7 +98,7 @@ impl Aggregate for Min {
 }
 
 /// Sum of the node values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Sum;
 
 impl Aggregate for Sum {
@@ -128,7 +126,7 @@ impl Aggregate for Sum {
 }
 
 /// Number of nodes (the "size count" `w_i` of Algorithm 3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Count;
 
 impl Aggregate for Count {
@@ -158,7 +156,7 @@ impl Aggregate for Count {
 /// The `(sum, count)` pair state of [`Average`]. This is exactly the row
 /// vector `(v_i, w_i)` that Convergecast-sum (Algorithm 3) and Gossip-ave
 /// (Algorithm 6) carry in their messages.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AverageState {
     /// Sum of values seen so far.
     pub sum: f64,
@@ -167,7 +165,7 @@ pub struct AverageState {
 }
 
 /// Average (arithmetic mean) of the node values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Average;
 
 impl Aggregate for Average {
@@ -210,7 +208,7 @@ impl Aggregate for Average {
 /// Rank of a target value: the number of node values strictly smaller than
 /// the target. (The paper lists Rank among the aggregates computable by the
 /// same machinery; it is a Sum of indicator values.)
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rank {
     /// The value whose rank is being computed.
     pub target: f64,

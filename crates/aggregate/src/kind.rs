@@ -1,14 +1,13 @@
 //! Dynamic aggregate selection for the experiment harness and CLI.
 
 use crate::functions::{Aggregate, Average, Count, Max, Min, Rank, Sum};
-use serde::{Deserialize, Serialize};
 
 /// A dynamically-chosen aggregate function.
 ///
 /// The statically-typed [`Aggregate`] implementations are what the protocol
 /// code is generic over; `AggregateKind` is the runtime selector used by the
 /// experiments binary and the examples.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AggregateKind {
     /// Maximum value.
     Max,

@@ -11,10 +11,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp, Normal, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// A distribution of node values.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ValueDistribution {
     /// Every node holds the same value.
     Constant(f64),

@@ -4,19 +4,19 @@
 //! size `n` over a range, run `trials` independent simulations per size
 //! (different seeds), measure one or more scalar quantities per run, and
 //! summarise. [`Sweep`] drives that loop, parallelising the independent
-//! trials with Rayon, and [`SweepResult`] holds the per-size summaries ready
-//! for fitting ([`crate::fit`]) and rendering ([`crate::table`]).
+//! trials with [`SweepRunner`], and [`SweepResult`] holds the per-size
+//! summaries ready for fitting ([`crate::fit`]) and rendering
+//! ([`crate::table`]).
 
 use crate::stats::Summary;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use gossip_runtime::SweepRunner;
 use std::collections::BTreeMap;
 
 /// One measured sample: named scalar observations from a single trial.
 pub type Observation = Vec<(String, f64)>;
 
 /// A sweep over network sizes with repeated trials per size.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sweep {
     /// Network sizes to sweep.
     pub sizes: Vec<usize>,
@@ -65,8 +65,7 @@ impl Sweep {
             let seeds: Vec<u64> = (0..self.trials)
                 .map(|t| self.base_seed + 1000 * i as u64 + t)
                 .collect();
-            let observations: Vec<Observation> =
-                seeds.par_iter().map(|&seed| run_trial(n, seed)).collect();
+            let observations = SweepRunner::new().run(&seeds, |&seed| run_trial(n, seed));
             let mut by_metric: BTreeMap<String, Vec<f64>> = BTreeMap::new();
             for obs in observations {
                 for (name, value) in obs {
@@ -84,7 +83,7 @@ impl Sweep {
 }
 
 /// Per-size summaries of every measured metric.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepPoint {
     /// Network size.
     pub n: usize,
@@ -93,7 +92,7 @@ pub struct SweepPoint {
 }
 
 /// The result of running a [`Sweep`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepResult {
     /// One point per swept size, in sweep order.
     pub points: Vec<SweepPoint>,
@@ -130,9 +129,9 @@ impl SweepResult {
 
     /// Serialise to pretty JSON (for EXPERIMENTS.md appendices and archival).
     ///
-    /// The JSON is written by hand: the offline build's `serde` stand-in has
-    /// no real serialisation backend, and the shape of a sweep result is
-    /// fixed, so a direct writer is both dependency-free and stable.
+    /// The JSON is written by hand: the offline build has no serialisation
+    /// crate, and the shape of a sweep result is fixed, so a direct writer
+    /// is both dependency-free and stable.
     pub fn to_json(&self) -> String {
         fn num(x: f64) -> String {
             if x.is_finite() {

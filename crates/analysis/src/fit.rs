@@ -9,10 +9,8 @@
 //! `O(n log log n)` messages" is confirmed when that model fits with high
 //! `R²` and the measured/model ratio stays flat across the sweep.
 
-use serde::{Deserialize, Serialize};
-
 /// Candidate asymptotic growth models (as functions of the network size `n`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ComplexityModel {
     Constant,
@@ -101,7 +99,7 @@ impl std::fmt::Display for ComplexityModel {
 }
 
 /// The result of fitting one model to a data series.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelFit {
     /// The model fitted.
     pub model: ComplexityModel,

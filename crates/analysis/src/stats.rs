@@ -1,9 +1,7 @@
 //! Summary statistics over repeated trials.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a sample of measurements (one per trial).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

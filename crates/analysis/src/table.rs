@@ -1,9 +1,7 @@
 //! Plain-text and Markdown table rendering for experiment output.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned table.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

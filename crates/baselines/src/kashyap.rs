@@ -24,10 +24,9 @@
 
 use gossip_aggregate::relative_error;
 use gossip_net::{Network, NodeId, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of efficient gossip.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EfficientGossipConfig {
     /// Target group size; `None` selects `⌈log₂ n⌉`.
     pub target_group_size: Option<usize>,
@@ -59,7 +58,7 @@ impl EfficientGossipConfig {
 }
 
 /// Cost of one phase of the protocol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EfficientPhaseCost {
     /// Phase name.
     pub name: &'static str,

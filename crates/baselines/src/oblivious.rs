@@ -10,10 +10,9 @@
 
 use crate::push_max::{push_max, PushMaxConfig, PushMaxOutcome};
 use gossip_net::Network;
-use serde::{Deserialize, Serialize};
 
 /// Which address-oblivious protocol to measure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ObliviousProtocol {
     /// Uniform push gossip.
     Push,
@@ -33,7 +32,7 @@ impl ObliviousProtocol {
 
 /// Message counts at the coverage thresholds used by the lower-bound
 /// experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObliviousLowerBoundResult {
     /// Network size.
     pub n: usize,

@@ -12,10 +12,9 @@
 //! lower-bound experiment (E10).
 
 use gossip_net::{Network, NodeId, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of uniform max gossip.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PushMaxConfig {
     /// Rounds = `⌈rounds_factor · log₂ n⌉`.
     pub rounds_factor: f64,

@@ -16,10 +16,9 @@
 use gossip_aggregate::relative_error;
 use gossip_net::{NodeId, Phase, Transport};
 use gossip_topology::RandomNodeSampler;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of push-sum.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PushSumConfig {
     /// Round multiplier: rounds = `⌈rounds_factor · (log₂ n + log₂(1/ε))⌉`.
     pub rounds_factor: f64,

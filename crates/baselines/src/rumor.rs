@@ -23,10 +23,9 @@
 //! Karp et al.'s communication-complexity accounting.
 
 use gossip_net::{Network, NodeId, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of rumor spreading.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RumorConfig {
     /// Counter threshold after which an informed node stops pushing;
     /// `None` selects the paper's `⌈log₂ log₂ n⌉ + 2`.

@@ -8,8 +8,9 @@
 //!
 //! * `sync` — the synchronous `Network`, whose closest analogue is folding
 //!   the whole churn budget into start-time crashes;
-//! * `async` — the discrete-event `AsyncEngine`, where crashes interleave
-//!   with message deliveries in virtual time.
+//! * `async` — the discrete-event core behind the round-barrier facade
+//!   (`ShardedTransport`, one shard), where crashes interleave with message
+//!   deliveries in virtual time.
 //!
 //! Reported per configuration: the informed fraction (alive nodes holding a
 //! finite estimate), the stale fraction (alive-but-uninformed rejoiners —
@@ -23,7 +24,7 @@ use gossip_analysis::{fmt_mean_or_dash, Table};
 use gossip_baselines::{push_sum_average, PushSumConfig};
 use gossip_drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use gossip_net::{Network, SimConfig, Transport};
-use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, LatencyModel, SweepRunner};
+use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedTransport, SweepRunner};
 
 /// Per-round crash rates swept by the experiment (rejoin rate is 10×).
 const CHURN_RATES: [f64; 4] = [0.0, 0.005, 0.01, 0.02];
@@ -198,16 +199,16 @@ fn one_trial(backend: &str, protocol: &str, n: usize, seed: u64, crash_rate: f64
             }
         }
         "async" => {
-            let mut engine = AsyncEngine::new(async_config(n, seed, crash_rate));
+            let mut facade = ShardedTransport::new(async_config(n, seed, crash_rate), 1);
             let (informed_fraction, stale_fraction, consensus, rounds, messages) =
-                run_protocol(&mut engine, protocol, &vals);
+                run_protocol(&mut facade, protocol, &vals);
             TrialOutcome {
                 informed_fraction,
                 stale_fraction,
                 consensus,
                 rounds,
                 messages,
-                virtual_ms: engine.now_us() as f64 / 1_000.0,
+                virtual_ms: facade.now_us() as f64 / 1_000.0,
             }
         }
         other => unreachable!("unknown backend {other}"),

@@ -137,12 +137,12 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
     ),
     (
         "churn_resilience",
-        "E15: DRR-gossip & push-sum under ongoing churn + log-normal latency (async engine)",
+        "E15: DRR-gossip & push-sum under ongoing churn + log-normal latency (sharded facade)",
         churn_resilience::run,
     ),
     (
         "latency_tail",
-        "E16: virtual-time cost of latency tails under the round barrier (async engine)",
+        "E16: virtual-time cost of latency tails under the round barrier (sharded facade)",
         latency_tail::run,
     ),
     (
@@ -153,8 +153,8 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
     ),
     (
         "engine_scaling",
-        "E18: sharded event engine vs the one-queue driver — events/sec, peak RSS and \
-         wall-clock vs n (up to 10^7) and shard count, plus the DRR chain on the facade",
+        "E18: sharded event engine scaling — events/sec, peak RSS and wall-clock vs n (up to \
+         10^7) and shard count, plus the DRR chain on the facade",
         engine_scaling::run,
     ),
     (

@@ -16,10 +16,9 @@
 use crate::forest::Forest;
 use gossip_aggregate::{Aggregate, Average, AverageState, Max, Sum};
 use gossip_net::{NodeId, Phase, Transport};
-use serde::{Deserialize, Serialize};
 
 /// How many children a parent can hear from in a single round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReceptionModel {
     /// The phone-call model of Sections 2–3: one child per parent per round.
     #[default]

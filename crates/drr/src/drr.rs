@@ -14,11 +14,10 @@
 use crate::forest::Forest;
 use crate::rank::Ranks;
 use gossip_net::{NodeId, Phase, Transport};
-use serde::{Deserialize, Serialize};
 
 /// How many random nodes each node may probe before giving up and becoming a
 /// root.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum ProbeBudget {
     /// The paper's choice: `log₂ n − 1` probes.
     #[default]
@@ -42,7 +41,7 @@ impl ProbeBudget {
 }
 
 /// Configuration of the DRR phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DrrConfig {
     /// Probe budget per node.
     pub probe_budget: ProbeBudget,

@@ -7,7 +7,6 @@
 //! adversarial cases) are caught.
 
 use gossip_net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Error returned when a parent assignment does not describe a forest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl std::error::Error for ForestError {}
 
 /// Summary statistics of a forest, used throughout the experiments
 /// (Theorems 2, 3 and 11 bound exactly these quantities).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ForestStats {
     /// Number of trees (= number of roots). Theorem 2: `O(n / log n)`.
     pub num_trees: usize,
@@ -48,7 +47,7 @@ pub struct ForestStats {
 }
 
 /// A forest of rooted trees over nodes `0..n`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Forest {
     parent: Vec<Option<NodeId>>,
     children: Vec<Vec<NodeId>>,

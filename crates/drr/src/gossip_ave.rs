@@ -14,10 +14,9 @@
 use crate::forest::Forest;
 use gossip_aggregate::{relative_error, AverageState};
 use gossip_net::{NodeId, Phase, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of Gossip-ave.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GossipAveConfig {
     /// Round multiplier: rounds = `⌈rounds_factor · (log₂ m + log₂(1/ε))⌉`.
     pub rounds_factor: f64,

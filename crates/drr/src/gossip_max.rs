@@ -18,10 +18,9 @@
 
 use crate::forest::Forest;
 use gossip_net::{NodeId, Phase, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of Gossip-max.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GossipMaxConfig {
     /// Gossip-procedure rounds = `⌈gossip_rounds_factor · log₂ n⌉`.
     pub gossip_rounds_factor: f64,

@@ -8,7 +8,7 @@
 //! event-driven model — the per-round barrier becomes a per-node interval
 //! timer, the push becomes a timer callback — which makes it the adapter
 //! showing how the existing round protocols port onto the [`Handler`] API
-//! hosted by `gossip_runtime::EventDriver`. The aggregate computed is
+//! hosted by `gossip_runtime::ShardedDriver`. The aggregate computed is
 //! identical (both drive toward `max_i v_i`); what changes is purely the
 //! execution model: no barrier, nodes tick out of phase, churned-and-
 //! rejoined nodes re-enter cleanly via `on_start` (they rejoin knowing
@@ -17,13 +17,12 @@
 //! once.
 
 use gossip_net::{stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
-use serde::{Deserialize, Serialize};
 
 /// The push timer of [`MaxGossipHandler`].
 pub const TIMER_PUSH: TimerId = TimerId(0);
 
 /// Parameters of the event-driven uniform gossip-max.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MaxGossipConfig {
     /// Push interval (µs) — the event-driven analogue of one round.
     pub push_interval_us: u64,
@@ -123,14 +122,14 @@ impl Handler for MaxGossipHandler {
 mod tests {
     use super::*;
     use crate::protocol::{drr_gossip_max, DrrGossipConfig};
-    use gossip_net::{Network, SimConfig, Transport};
-    use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel};
+    use gossip_net::{Network, SimConfig};
+    use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedDriver};
 
     fn values(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 37) % 1009) as f64).collect()
     }
 
-    fn driver(n: usize, seed: u64, churn: ChurnModel) -> EventDriver<MaxGossipHandler> {
+    fn driver(n: usize, seed: u64, churn: ChurnModel) -> ShardedDriver<MaxGossipHandler> {
         let sim = SimConfig::new(n).with_seed(seed).with_loss_prob(0.05);
         let config = AsyncConfig::new(sim.clone())
             .with_latency(LatencyModel::Uniform {
@@ -143,7 +142,7 @@ mod tests {
             bits: sim.id_bits() + sim.value_bits(),
             ..MaxGossipConfig::default()
         };
-        EventDriver::new(AsyncEngine::new(config), move |me| {
+        ShardedDriver::new(config, 1, move |me| {
             MaxGossipHandler::new(me, vals[me.index()], handler_config)
         })
     }
@@ -162,11 +161,11 @@ mod tests {
 
         let mut d = driver(n, 9, ChurnModel::none());
         d.run_until(40_000); // 40 push intervals ≫ O(log n) rounds
-        for (i, h) in d.handlers().iter().enumerate() {
+        for (node, h) in d.iter_handlers() {
             assert_eq!(
                 h.current_max(),
                 report.exact,
-                "node {i} disagrees with the round-based result"
+                "node {node:?} disagrees with the round-based result"
             );
         }
     }
@@ -184,7 +183,6 @@ mod tests {
         assert!(rejoins > 0, "churn produced rejoins");
         let exact = values(n).into_iter().fold(f64::NEG_INFINITY, f64::max);
         let settled = d
-            .engine()
             .alive_nodes()
             .filter(|&v| d.handler(v).current_max() == exact)
             .count();
@@ -203,7 +201,6 @@ mod tests {
         // must still drive every node to the exact maximum, and the run —
         // order hash and every node's store — must not depend on how the
         // node space is partitioned.
-        use gossip_runtime::ShardedDriver;
         let n = 256;
         let vals = values(n);
         let exact = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -243,11 +240,10 @@ mod tests {
             let mut d = driver(128, seed, ChurnModel::per_round(0.02, 0.1));
             d.run_until(50_000);
             let maxima: Vec<u64> = d
-                .handlers()
-                .iter()
-                .map(|h| h.current_max().to_bits())
+                .iter_handlers()
+                .map(|(_, h)| h.current_max().to_bits())
                 .collect();
-            (maxima, d.metrics().order_hash)
+            (maxima, d.order_hash())
         };
         assert_eq!(fingerprint(5), fingerprint(5));
         assert_ne!(fingerprint(5), fingerprint(6));

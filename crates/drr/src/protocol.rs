@@ -20,10 +20,9 @@ use crate::gossip_ave::{gossip_ave, GossipAveConfig};
 use crate::gossip_max::{gossip_max, GossipMaxConfig};
 use gossip_aggregate::relative_error;
 use gossip_net::{Metrics, NodeId, Phase, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the full DRR-gossip protocols.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DrrGossipConfig {
     /// Phase I parameters.
     pub drr: DrrConfig,
@@ -50,7 +49,7 @@ impl DrrGossipConfig {
 }
 
 /// Rounds and messages consumed by one named phase of a protocol run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseCost {
     /// Phase name ("drr", "convergecast", ...).
     pub name: &'static str,
@@ -67,7 +66,7 @@ pub struct PhaseCost {
 /// protocol never reached it — the gap the anti-entropy layer exists to
 /// close). Experiment tables report these explicitly instead of burying
 /// both as NaN.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeStatus {
     /// Alive with a finite estimate.
     Informed,
@@ -546,7 +545,7 @@ mod tests {
 
         // End-to-end: under ongoing churn, rejoiners finish alive but
         // uninformed — the report must say `Stale`, not bury them as NaN.
-        use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, LatencyModel};
+        use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedTransport};
         let n = 1500;
         let values = uniform_values(n);
         let config = AsyncConfig::new(SimConfig::new(n).with_seed(23).with_loss_prob(0.05))
@@ -555,8 +554,8 @@ mod tests {
                 sigma: 0.7,
             })
             .with_churn(ChurnModel::per_round(0.01, 0.15).with_min_alive(n / 2));
-        let mut engine = AsyncEngine::new(config);
-        let report = drr_gossip_max(&mut engine, &values, &DrrGossipConfig::paper());
+        let mut facade = ShardedTransport::new(config, 1);
+        let report = drr_gossip_max(&mut facade, &values, &DrrGossipConfig::paper());
         let stale = report
             .statuses
             .iter()

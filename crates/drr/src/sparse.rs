@@ -28,10 +28,9 @@ use crate::protocol::{DrrGossipReport, PhaseCost};
 use gossip_aggregate::AverageState;
 use gossip_net::{Network, NodeId, Phase};
 use gossip_topology::{Graph, RandomNodeSampler};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the sparse-network DRR-gossip protocols.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SparseGossipConfig {
     /// Root-gossip rounds = `⌈gossip_rounds_factor · log₂(#roots)⌉`.
     pub gossip_rounds_factor: f64,

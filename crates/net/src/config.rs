@@ -1,7 +1,6 @@
 //! Simulation configuration (network size, seed, failure model, value range).
 
 use crate::bits::{id_bits, value_bits_for_range};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated network, mirroring the model of Section 2 of
 /// the paper.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///     .with_value_range(1e6);
 /// assert_eq!(cfg.n, 4096);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// Number of nodes in the network (`n`).
     pub n: usize,

@@ -31,14 +31,11 @@ use crate::node::NodeId;
 use crate::phase::Phase;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Names one of a handler's timers. Purely a label the handler chooses —
 /// the host routes the fired timer back via [`Handler::on_timer`] without
 /// interpreting it.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimerId(pub u32);
 
 impl std::fmt::Display for TimerId {

@@ -7,10 +7,9 @@
 //! asserting the `O(log n + log s)` size bound of the model).
 
 use crate::phase::Phase;
-use serde::{Deserialize, Serialize};
 
 /// Per-phase slice of the metrics, convenient for table rendering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// The phase label.
     pub phase: Phase,
@@ -23,7 +22,7 @@ pub struct PhaseBreakdown {
 }
 
 /// Accumulated simulation metrics.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
     messages: Vec<u64>,
     dropped: Vec<u64>,

@@ -1,6 +1,5 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node address in the simulated network.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Node addresses are dense integers `0..n`. The paper assumes nodes have
 /// unique addresses (Section 2); non-address-oblivious protocol steps (such
 /// as forwarding a gossip message to one's tree root) use these addresses.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

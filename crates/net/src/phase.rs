@@ -5,10 +5,8 @@
 //! breakdown to reproduce the paper's claim that the message complexity of
 //! DRR-gossip is dominated by Phase I (the DRR algorithm, Section 3.5).
 
-use serde::{Deserialize, Serialize};
-
 /// Phases of the gossip protocols implemented in this workspace.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[allow(missing_docs)]
 pub enum Phase {
     /// DRR Phase I: probing a random node for its rank.

@@ -9,8 +9,8 @@
 //! datagram socket. This module is that boundary:
 //!
 //! * [`WireMsg`] — encode/decode for a protocol's message type. The
-//!   workspace's `serde` is an offline no-op shim (see `DESIGN.md` §9), so
-//!   the data model is hand-rolled: fixed-width little-endian primitives
+//!   workspace builds offline without a serialisation crate, so the data
+//!   model is hand-rolled: fixed-width little-endian primitives
 //!   through a [`WireWriter`]/[`WireReader`] pair, with blanket impls for
 //!   the shapes protocol messages are built from (integers, floats,
 //!   `Vec`, tuples, `Option`, [`NodeId`]).

@@ -429,14 +429,8 @@ fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
     }
     let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     let target = socket.local_addr().unwrap();
-    let mut host = gossip_node::NodeHost::from_socket(
-        socket,
-        NodeId::new(0),
-        vec![target],
-        3,
-        Tick,
-    )
-    .unwrap();
+    let mut host =
+        gossip_node::NodeHost::from_socket(socket, NodeId::new(0), vec![target], 3, Tick).unwrap();
 
     // A background flood: bursts of garbage and well-formed frames, far
     // faster than the 2 ms tick, for the whole run.

@@ -1,7 +1,5 @@
 //! Ongoing node churn: mid-run crashes and rejoins.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-round churn probabilities.
 ///
 /// At every round boundary the engine draws, for each alive node, a crash
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// effect at the boundary itself. A disabled model (`ChurnModel::none`)
 /// draws **no** randomness, keeping the RNG stream aligned with the
 /// synchronous `Network`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnModel {
     /// Per-node, per-round crash probability.
     pub crash_prob: f64,

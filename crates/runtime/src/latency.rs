@@ -3,7 +3,6 @@
 use gossip_net::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of one-way message latency, in virtual microseconds.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// (see [`LatencyModel::link_bias`]) makes some `(from, to)` pairs
 /// persistently slower, which is what produces realistic tail behaviour in
 /// the `latency_tail` experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long. Consumes **no** randomness,
     /// which keeps the engine's RNG stream aligned with the synchronous

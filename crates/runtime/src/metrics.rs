@@ -1,19 +1,20 @@
-//! Engine-level metrics: virtual time, drop causes, churn counts and the
-//! delivered-latency distribution.
+//! Engine-level metrics: drop causes, churn counts and the
+//! delivered-latency distribution, plus the event-driven host's dispatch
+//! counters and order fingerprint.
 //!
 //! Message/round/bit accounting lives in [`gossip_net::Metrics`] exactly as
 //! on the synchronous backend (so protocol-level reports are comparable
 //! across backends); this module tracks what only an asynchronous engine
 //! can know.
 
-use serde::{Deserialize, Serialize};
+use gossip_net::NodeId;
 
 /// Fixed-resolution log-scale histogram of latencies (µs).
 ///
 /// Buckets subdivide each power of two into 8 sub-buckets, giving ≤ ~9%
 /// relative quantile error over the full `u64` range at a fixed 512-slot
 /// footprint — plenty for tail inspection without storing samples.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,
@@ -143,7 +144,7 @@ impl Default for LatencyHistogram {
 }
 
 /// What the asynchronous engine knows beyond [`gossip_net::Metrics`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AsyncMetrics {
     /// Messages dropped because they missed a fixed round deadline.
     pub late_drops: u64,
@@ -201,6 +202,99 @@ impl AsyncMetrics {
             "Latency distribution of delivered messages (virtual us)",
             &[],
             &self.latency.to_obs(),
+        );
+    }
+}
+
+/// FNV-1a offset basis: the initial value of [`DriverMetrics::order_hash`].
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime, shared by the per-node dispatch hashes and their fold.
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Counters the event-driven host maintains on top of the engine metrics.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DriverMetrics {
+    /// `on_start` invocations (initial boots + rejoin restarts).
+    pub handler_starts: u64,
+    /// Messages dispatched into `on_message`.
+    pub messages_dispatched: u64,
+    /// Timer events dispatched into `on_timer`.
+    pub timer_fires: u64,
+    /// Timers dropped because their incarnation was superseded by a rejoin
+    /// (or their node is currently dead).
+    pub stale_timer_skips: u64,
+    /// Timers suppressed by `Mailbox::cancel_timer` before they fired.
+    pub cancelled_timer_skips: u64,
+    /// Deliveries dropped at dispatch because the receiver was dead at the
+    /// arrival instant.
+    pub dead_receiver_drops: u64,
+    /// Every rejoin restart, as `(boundary instant µs, node)` in dispatch
+    /// order. Experiments use this to measure re-sync recovery time.
+    pub rejoin_log: Vec<(u64, NodeId)>,
+    /// Fingerprint of the dispatched event sequence (timestamps, kinds,
+    /// endpoints, schedule order). Two runs dispatching the same events in
+    /// the same order — the determinism contract — agree on it.
+    pub order_hash: u64,
+}
+
+impl DriverMetrics {
+    pub(crate) fn new() -> Self {
+        DriverMetrics {
+            order_hash: FNV_OFFSET,
+            ..DriverMetrics::default()
+        }
+    }
+
+    /// Fold one word into the order hash. The sharded driver combines its
+    /// per-node dispatch hashes through this, in node-id order.
+    pub(crate) fn fold_word(&mut self, w: u64) {
+        self.order_hash = (self.order_hash ^ w).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Route these counters into an observability registry as the
+    /// `driver_*` families. Purely a read.
+    pub fn fill_registry(&self, registry: &mut gossip_obs::Registry) {
+        registry.add_counter(
+            "driver_handler_starts_total",
+            "on_start invocations (boots + rejoin restarts)",
+            &[],
+            self.handler_starts,
+        );
+        registry.add_counter(
+            "driver_messages_dispatched_total",
+            "Messages dispatched into on_message",
+            &[],
+            self.messages_dispatched,
+        );
+        registry.add_counter(
+            "driver_timer_fires_total",
+            "Timer events dispatched into on_timer",
+            &[],
+            self.timer_fires,
+        );
+        registry.add_counter(
+            "driver_stale_timer_skips_total",
+            "Timers dropped for a superseded incarnation or dead node",
+            &[],
+            self.stale_timer_skips,
+        );
+        registry.add_counter(
+            "driver_cancelled_timer_skips_total",
+            "Timers suppressed by cancel_timer before firing",
+            &[],
+            self.cancelled_timer_skips,
+        );
+        registry.add_counter(
+            "driver_dead_receiver_drops_total",
+            "Deliveries dropped because the receiver crashed later",
+            &[],
+            self.dead_receiver_drops,
+        );
+        registry.add_counter(
+            "driver_rejoins_total",
+            "Rejoin restarts applied",
+            &[],
+            self.rejoin_log.len() as u64,
         );
     }
 }

@@ -1,10 +1,19 @@
 //! The sharded event engine: the node space partitioned across shards,
 //! each with its own event queue, node state and RNG streams.
 //!
-//! [`EventDriver`](crate::EventDriver) keeps all O(n) per-node state and a
-//! single binary heap behind one thread, which caps every experiment at
-//! small n. [`ShardedDriver`] is the scale-out execution model: the node
-//! space is split into `S` contiguous shards, and each shard owns
+//! [`ShardedDriver`] hosts one [`Handler`] per node — per-node state plus
+//! `on_start` / `on_message` / `on_timer` callbacks — and dispatches them
+//! from discrete events: no barrier, the clock advances from event to
+//! event, a node's send schedules a delivery at `now + latency`, a node's
+//! timer schedules a timer event. A rejoined node comes back with **fresh
+//! handler state** (built by the factory) and a bumped incarnation;
+//! `on_start` runs again, and timers armed by the previous life are dropped
+//! as stale instead of firing into the new one — the "churned-and-rejoined
+//! node knows nothing" gap the anti-entropy layer (`gossip-ae`) exists to
+//! close.
+//!
+//! To scale to n ≥ 10⁷, the node space is split into `S` contiguous
+//! shards (`S = 1` is the serial host), and each shard owns
 //!
 //! * its nodes' state — handler instances in their own slab, the scalar
 //!   per-node fields packed into the dense parallel arrays of a
@@ -19,13 +28,13 @@
 //!
 //! # Why per-node RNG streams
 //!
-//! The single-queue engines funnel every draw through one global RNG, so
-//! the stream each node sees depends on the global interleaving of all
-//! events — reproducible on one thread, but impossible to preserve once
-//! two shards draw concurrently. The sharded driver therefore re-derives
-//! the determinism contract *per node*: every protocol-visible draw (peer
-//! sampling, loss, latency) comes from the acting node's own stream, which
-//! advances only through that node's own callbacks. A node's behaviour is
+//! One global RNG would make the stream each node sees depend on the
+//! global interleaving of all events — reproducible on one thread, but
+//! impossible to preserve once two shards draw concurrently. The driver
+//! therefore derives the determinism contract *per node*: every
+//! protocol-visible draw (peer sampling, loss, latency) comes from the
+//! acting node's own stream, which advances only through that node's own
+//! callbacks. A node's behaviour is
 //! then a pure function of the seed and its own event history — identical
 //! whatever the shard count, worker count or event-loop slicing.
 //!
@@ -33,7 +42,7 @@
 //!
 //! Events are globally ordered by the key `(timestamp, origin node,
 //! per-origin sequence)` — a total order every shard can compute locally,
-//! unlike the single global submission counter of the one-queue engines.
+//! unlike a single global submission counter.
 //! Time advances in **bounded-lag epochs** of at most the latency model's
 //! minimum ([`LatencyModel::min_us`](crate::LatencyModel::min_us), scaled
 //! down by the link spread): a
@@ -63,19 +72,15 @@
 //! hash, so the memory layout is free to differ where the event order may
 //! not.
 //!
-//! Delivery semantics are the engine's, re-cut along ownership lines: the
-//! *sender's* shard draws loss and latency and enforces the bandwidth
+//! Delivery semantics follow [`AsyncConfig`], cut along ownership lines:
+//! the *sender's* shard draws loss and latency and enforces the bandwidth
 //! budget and deadline; the *receiver's* shard rules on receiver liveness
 //! at the arrival instant (crashes are events in the same total order) and
-//! records the attempt in its metrics. The two single-queue engines decide
-//! receiver liveness at send time instead, so sharded runs are not
-//! bit-comparable with `EventDriver` runs — each execution model pins its
-//! own golden hashes.
+//! records the attempt in its metrics.
 
 use crate::arena::{PayloadArena, NO_PAYLOAD};
-use crate::driver::DriverMetrics;
-use crate::engine::AsyncConfig;
-use crate::metrics::AsyncMetrics;
+use crate::config::{draw_initial_liveness, AsyncConfig, RoundPolicy};
+use crate::metrics::{AsyncMetrics, DriverMetrics, FNV_PRIME};
 use crate::soa::{NodeTable, NO_CRASH};
 use gossip_net::{node_rng, Handler, Mailbox, Metrics, NodeId, Phase, TimerId};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing, NO_PEER};
@@ -84,11 +89,10 @@ use rand::Rng;
 
 /// Word-level FNV-style fold for the per-node dispatch hashes, on the same
 /// FNV constants as [`DriverMetrics`]. Three words per event keep the hot
-/// path cheap (the byte-level FNV of the one-queue driver costs 32
-/// multiplies per event; this costs 3).
+/// path cheap (a byte-level FNV would cost 32 multiplies per event; this
+/// costs 3).
 #[inline]
 fn fold3(h: &mut u64, a: u64, b: u64, c: u64) {
-    use crate::driver::FNV_PRIME;
     *h = (*h ^ a).wrapping_mul(FNV_PRIME);
     *h = (*h ^ b).wrapping_mul(FNV_PRIME);
     *h = (*h ^ c).wrapping_mul(FNV_PRIME);
@@ -131,8 +135,8 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    /// Kind tag folded into the order hash (mirrors the one-queue driver's
-    /// 1 = message, 2 = crash, 3 = timer labelling).
+    /// Kind tag folded into the order hash (1 = message, 2 = crash,
+    /// 3 = timer).
     fn tag(&self) -> u64 {
         match self {
             EventKind::Deliver { .. } => 1,
@@ -185,10 +189,10 @@ const MIN_PARALLEL_EPOCH_US: u64 = 32;
 /// A calendar queue (timing wheel): one bucket per virtual microsecond,
 /// modulo [`WHEEL_US`].
 ///
-/// The single-queue engines use a binary heap, whose `O(log k)` pops walk
-/// `k`-sized cold memory — at n = 10⁶ that walk, not the protocol, is the
-/// simulation's hot loop. The sharded driver's time only moves forward in
-/// bounded-lag epochs, which is exactly the access pattern a calendar
+/// A binary heap's `O(log k)` pops walk `k`-sized cold memory — at
+/// n = 10⁶ that walk, not the protocol, is the simulation's hot loop. The
+/// sharded driver's time only moves forward in bounded-lag epochs, which
+/// is exactly the access pattern a calendar
 /// queue rewards: `O(1)` pushes into the bucket `at_us & WHEEL_MASK`, and
 /// a cursor that sweeps the buckets in virtual-time order. Determinism is
 /// preserved because every bucket holds events of a single instant (any
@@ -642,7 +646,7 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         // Sender-side verdicts, all drawn from the sender's own stream in a
         // fixed order (the callback only runs on a live node, so the sender
         // is alive by construction — and its attempt accrues against its
-        // bandwidth budget, exactly the engine's post-fix semantics).
+        // bandwidth budget, delivered or not).
         let lost = config.sim.loss_prob > 0.0 && self.rng.gen_bool(config.sim.loss_prob);
         let mut latency_us = config.latency.sample(self.rng);
         if config.link_spread > 0.0 {
@@ -679,7 +683,7 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
             );
             return;
         }
-        if let crate::engine::RoundPolicy::FixedDeadline(deadline) = config.round_policy {
+        if let RoundPolicy::FixedDeadline(deadline) = config.round_policy {
             if latency_us > deadline {
                 self.async_metrics.late_drops += 1;
                 self.metrics.record_send(phase, bits, false);
@@ -782,8 +786,8 @@ pub struct ShardedDriver<H: Handler> {
     factory: Box<dyn Fn(NodeId) -> H + Send>,
     /// Driver-level stream for initial crashes and churn coins (drawn
     /// serially at barriers in node-id order; seeded exactly like the
-    /// engine's setup stream, so initial alive sets match `AsyncEngine`'s
-    /// for the same `SimConfig`).
+    /// setup stream of `Network`, so initial alive sets match every other
+    /// backend's for the same `SimConfig`).
     churn_rng: SmallRng,
     /// Churn-window length (µs).
     window_us: u64,
@@ -832,7 +836,7 @@ where
 
         // Initial crashes: the shared setup stream, drawn in node order —
         // the identical alive set every backend starts from.
-        let (alive, _, churn_rng) = crate::engine::draw_initial_liveness(&config.sim);
+        let (alive, _, churn_rng) = draw_initial_liveness(&config.sim);
 
         let lookahead = Self::lookahead_us(&config);
         let window_us = config.latency.median_us().max(1);
@@ -1087,6 +1091,19 @@ where
         self.shards.iter().map(|s| s.nodes.alive_count).sum()
     }
 
+    /// The currently alive nodes, in node-id order.
+    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.shards.iter().flat_map(|shard| {
+            shard
+                .nodes
+                .alive
+                .iter()
+                .enumerate()
+                .filter(|&(_, &alive)| alive)
+                .map(move |(local, _)| NodeId::new(shard.start + local))
+        })
+    }
+
     /// Payloads currently live across the per-shard slab arenas.
     pub fn arena_live(&self) -> usize {
         self.shards.iter().map(|s| s.arena.live()).sum()
@@ -1163,6 +1180,13 @@ where
             }
         }
         m
+    }
+
+    /// Every rejoin restart so far, as `(boundary instant µs, node)` in
+    /// dispatch order (the same log [`metrics`](ShardedDriver::metrics)
+    /// copies out, without the per-node hash fold).
+    pub fn rejoin_log(&self) -> &[(u64, NodeId)] {
+        &self.rejoin_log
     }
 
     /// The shard-count-invariant dispatch-order fingerprint (shorthand for
@@ -1370,9 +1394,8 @@ mod tests {
     use crate::latency::LatencyModel;
     use gossip_net::SimConfig;
 
-    /// Interval-driven rumor flooding (the same shape as the one-queue
-    /// driver's test handler): every tick each node pushes its token set to
-    /// one random peer.
+    /// Interval-driven rumor flooding (the ciruela emulator shape): every
+    /// tick each node pushes its token set to one random peer.
     #[derive(Debug, Clone)]
     struct Rumor {
         me: NodeId,
@@ -1536,7 +1559,7 @@ mod tests {
                 hi_us: 4_000,
             })
             .with_bandwidth_bits_per_round(300)
-            .with_round_policy(crate::engine::RoundPolicy::FixedDeadline(2_000));
+            .with_round_policy(RoundPolicy::FixedDeadline(2_000));
         let mut driver = ShardedDriver::new(config, 4, |me| Rumor {
             me,
             tokens: (0..8).map(|t| t + me.index() as u32).collect(),
@@ -1553,9 +1576,8 @@ mod tests {
         assert!(m.total_dropped() >= a.bandwidth_drops + a.late_drops);
     }
 
-    /// The cancel-then-re-arm idiom on the sharded host (mirrors the
-    /// one-queue driver's unit test: T0 at 10 cancels the boot-armed T1
-    /// due 20 and re-arms it for 40).
+    /// The cancel-then-re-arm idiom: T0 at 10 cancels the boot-armed T1
+    /// due 20 and re-arms it for 40.
     #[derive(Debug, Default)]
     struct Canceller {
         fired: Vec<(u64, TimerId)>,
@@ -1629,25 +1651,64 @@ mod tests {
     }
 
     #[test]
-    fn initial_crashes_match_the_engine_stream() {
+    fn initial_crashes_match_the_network_stream() {
         let sim = SimConfig::new(256)
             .with_seed(17)
             .with_initial_crash_prob(0.2);
-        let engine = crate::engine::AsyncEngine::new(AsyncConfig::new(sim.clone()));
+        let net = gossip_net::Network::new(sim.clone());
         let driver = ShardedDriver::new(AsyncConfig::new(sim), 8, |me| Rumor {
             me,
             tokens: Vec::new(),
             tick_us: 1_000,
         });
-        use gossip_net::Transport;
         for i in 0..256 {
             assert_eq!(
-                Transport::is_alive(&engine, NodeId::new(i)),
+                net.is_alive(NodeId::new(i)),
                 driver.is_alive(NodeId::new(i)),
                 "node {i}"
             );
         }
-        assert_eq!(Transport::alive_count(&engine), driver.alive_count());
+        assert_eq!(net.alive_count(), driver.alive_count());
+        assert!(driver
+            .alive_nodes()
+            .eq((0..256).map(NodeId::new).filter(|&v| net.is_alive(v))));
+    }
+
+    #[test]
+    fn timer_jitter_delays_but_never_advances_and_reproduces() {
+        let run = |jitter| {
+            let config = AsyncConfig::new(SimConfig::new(4).with_seed(9));
+            let mut d = ShardedDriver::new(config, 1, |me| Rumor {
+                me,
+                tokens: Vec::new(),
+                tick_us: 1_000,
+            })
+            .with_timer_jitter_us(jitter);
+            d.run_until(20_000);
+            (d.metrics(), d.net_metrics().total_messages())
+        };
+        // Jittered runs are as reproducible as plain ones.
+        assert_eq!(run(300), run(300));
+        // And jitter actually perturbs the schedule.
+        assert_ne!(run(0).0.order_hash, run(300).0.order_hash);
+        // Ticks still fire at the expected rate (jitter delays, it does
+        // not drop): ~20 intervals per node, give or take the drift the
+        // jitter accumulates.
+        assert!(run(300).0.timer_fires >= 4 * 15);
+    }
+
+    #[test]
+    fn window_length_is_configurable_and_counts_rounds() {
+        let config = AsyncConfig::new(SimConfig::new(8).with_seed(5));
+        let mut d = ShardedDriver::new(config, 2, |me| Rumor {
+            me,
+            tokens: Vec::new(),
+            tick_us: 1_000,
+        })
+        .with_window_us(2_000);
+        d.run_until(20_000);
+        // Boundaries at 2k, 4k, ..., 20k → 10 windows counted as rounds.
+        assert_eq!(d.net_metrics().rounds(), 10);
     }
 
     #[test]

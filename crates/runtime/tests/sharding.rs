@@ -18,8 +18,6 @@ mod common;
 use common::shard_counts;
 
 /// Golden configuration A: mid-size, lossy, churny, spread links.
-/// Shared with the serial pins in `determinism.rs` — the two suites pin
-/// the *same* runs from both engines' perspectives.
 fn golden_config_a() -> AsyncConfig {
     AsyncConfig::new(
         SimConfig::new(1_000)

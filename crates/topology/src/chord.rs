@@ -17,10 +17,9 @@ use crate::graph::Graph;
 use gossip_net::{ceil_log2, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An idealised Chord overlay on `n` nodes.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChordOverlay {
     n: usize,
     /// Finger offsets: `1, 2, 4, ..., 2^(m-1)` with `2^(m-1) < n`.

@@ -1,7 +1,6 @@
 //! Compressed sparse-row undirected graphs.
 
 use gossip_net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// An undirected graph on nodes `0..n` stored in compressed sparse-row form.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Section 4 of the paper: in one round a node may exchange messages with
 /// its immediate neighbours only (but with all of them simultaneously, as in
 /// the standard message-passing model).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
     offsets: Vec<usize>,

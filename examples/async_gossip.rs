@@ -1,5 +1,6 @@
-//! Run DRR-gossip on the asynchronous discrete-event engine and compare it
-//! with the synchronous round-barrier backend on the same workload.
+//! Run DRR-gossip on the asynchronous discrete-event core (through the
+//! round-barrier `ShardedTransport`) and compare it with the synchronous
+//! round-barrier backend on the same workload.
 //!
 //! ```text
 //! cargo run --release --example async_gossip [n] [seed]
@@ -12,7 +13,7 @@
 
 use drr_gossip::drr::protocol::{drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use drr_gossip::net::{Network, SimConfig};
-use drr_gossip::runtime::{AsyncConfig, AsyncEngine, ChurnModel, LatencyModel};
+use drr_gossip::runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedTransport};
 
 fn consensus(report: &DrrGossipReport) -> (usize, usize, f64) {
     let informed: Vec<f64> = report
@@ -52,7 +53,7 @@ fn main() {
     println!("  messages {:>10}", sync_report.total_messages);
     println!("  exact    {:>10}", sync_report.fraction_exact());
 
-    // --- Asynchronous engine: churn + heavy-tailed latency. --------------
+    // --- Asynchronous core: churn + heavy-tailed latency. ----------------
     let config = AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.05))
         .with_latency(LatencyModel::LogNormal {
             median_us: 1_000.0,
@@ -60,11 +61,11 @@ fn main() {
         })
         .with_link_spread(0.3)
         .with_churn(ChurnModel::per_round(0.01, 0.1).with_min_alive(n / 2));
-    let mut engine = AsyncEngine::new(config.clone());
-    let report = drr_gossip_max(&mut engine, &values, &DrrGossipConfig::paper());
+    let mut facade = ShardedTransport::new(config.clone(), 1);
+    let report = drr_gossip_max(&mut facade, &values, &DrrGossipConfig::paper());
     let (informed, alive, share) = consensus(&report);
-    let am = engine.async_metrics();
-    println!("\nasync AsyncEngine     (1%/round churn, log-normal latency σ = 1.0):");
+    let am = facade.async_metrics();
+    println!("\nasync ShardedTransport (1%/round churn, log-normal latency σ = 1.0):");
     println!("  rounds   {:>10}", report.total_rounds);
     println!("  messages {:>10}", report.total_messages);
     println!("  alive at end      {alive:>7} / {n}");
@@ -84,18 +85,18 @@ fn main() {
     );
     println!(
         "  virtual time      {:>8.1} ms  ({:.2} ms/round)",
-        engine.now_us() as f64 / 1e3,
-        engine.now_us() as f64 / 1e3 / report.total_rounds as f64
+        facade.now_us() as f64 / 1e3,
+        facade.now_us() as f64 / 1e3 / report.total_rounds as f64
     );
 
     // --- Determinism: the run is a pure function of the seed. ------------
-    let mut replay = AsyncEngine::new(config);
+    let mut replay = ShardedTransport::new(config, 1);
     let replay_report = drr_gossip_max(&mut replay, &values, &DrrGossipConfig::paper());
     let identical = replay_report
         .estimates
         .iter()
         .zip(&report.estimates)
         .all(|(a, b)| a.to_bits() == b.to_bits())
-        && replay.now_us() == engine.now_us();
+        && replay.now_us() == facade.now_us();
     println!("\nreplay with same seed is bit-identical: {identical}");
 }

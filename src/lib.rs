@@ -22,11 +22,11 @@ pub use gossip_topology as topology;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use gossip_ae::{ae_driver, AeConfig, AeNode, SignalModel};
+    pub use gossip_ae::{ae_sharded_driver, AeConfig, AeNode, SignalModel};
     pub use gossip_member::{Member, MemberConfig, MemberMsg};
     pub use gossip_net::{Handler, Mailbox, Network, NodeId, Phase, SimConfig, TimerId, Transport};
     pub use gossip_node::{LoopbackCluster, NodeHost, ThreadedCluster};
     pub use gossip_runtime::{
-        AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel, SweepRunner,
+        AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, ShardedTransport, SweepRunner,
     };
 }
