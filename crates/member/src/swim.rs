@@ -20,7 +20,9 @@
 //!    `suspect_periods` whole periods is declared **Dead**;
 //! 3. pings `probe_fanout` fresh targets drawn from the live view, arming
 //!    one RTT timer; if it fires before the acks arrive, the unacked
-//!    targets are probed indirectly via `proxies` ping-req relays.
+//!    targets are probed indirectly via `proxies` ping-req relays. A node
+//!    still waiting for a JoinAck re-sends its Join to a seed once a
+//!    whole period has passed since the last one.
 //!
 //! A node that hears a rumor about *itself* (Suspect or Dead at its
 //! current or later incarnation) refutes: it bumps its incarnation past
@@ -416,6 +418,8 @@ struct Core {
     pending: Vec<Probe>,
     indirect_fired: bool,
     joined: bool,
+    /// When the last Join went out (µs), for the retry below.
+    join_sent_us: u64,
     started: bool,
 }
 
@@ -569,6 +573,7 @@ impl Core {
             (bytes * 8) as u32,
             MemberMsg::Join { updates },
         );
+        self.join_sent_us = mailbox.now_us();
         self.stats.joins_sent += 1;
     }
 }
@@ -597,6 +602,7 @@ impl<H: Handler> Member<H> {
                 pending: Vec::new(),
                 indirect_fired: false,
                 joined: false,
+                join_sent_us: 0,
                 started: false,
             },
         }
@@ -685,11 +691,20 @@ impl<H: Handler> Member<H> {
             mailbox.note(Some(node), TraceReason::DeclaredDead);
         }
         // 3. Probe fresh targets (or keep trying to join an empty view).
+        // A joiner can fill its view from piggybacked rumors before any
+        // JoinAck arrives; if its Join or every JoinAck was lost, it
+        // re-asks a seed once a whole probe period has passed unanswered,
+        // or it would never be joined and, with the Join lost, never
+        // known to anyone.
         if self.core.table.live_view().is_empty() {
             if !self.core.joined {
                 self.core.send_join(mailbox);
             }
         } else {
+            let join_overdue = now >= self.core.join_sent_us + self.core.cfg.probe_interval_us;
+            if !self.core.joined && join_overdue {
+                self.core.send_join(mailbox);
+            }
             let fanout = self.core.cfg.probe_fanout.max(1);
             let targets = self.core.draw_targets(mailbox, fanout, None);
             if !targets.is_empty() {

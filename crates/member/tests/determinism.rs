@@ -189,6 +189,35 @@ fn a_cluster_discovers_itself_from_one_seed_and_the_aggregate_converges() {
 }
 
 #[test]
+fn joiners_whose_join_is_lost_keep_asking_until_answered() {
+    // Seed-join under heavy loss. A joiner can learn the view from
+    // piggybacked acks while its Join, or every JoinAck, was dropped; it
+    // must keep re-asking the seed until answered, or it stays unjoined
+    // and, with the Join lost, unknown to everyone else.
+    let n = 16;
+    let vals = values(n);
+    let handler_config = max_config(n);
+    let member_config =
+        MemberConfig::with_seeds(vec![NodeId::new(0)]).with_probe_interval_us(5_000);
+    let mut driver = ShardedDriver::new(
+        AsyncConfig::new(SimConfig::new(n).with_seed(0x1057).with_loss_prob(0.4))
+            .with_latency(LatencyModel::Constant(300)),
+        1,
+        move |me| {
+            Member::new(
+                member_config.clone(),
+                MaxGossipHandler::new(me, vals[me.index()], handler_config),
+            )
+        },
+    );
+    driver.run_until(1_000_000);
+    for (node, h) in driver.iter_handlers() {
+        assert!(h.is_joined(), "{node:?} never completed the join handshake");
+        assert_eq!(h.view_counts().3, 0, "{node:?} never heard of someone");
+    }
+}
+
+#[test]
 fn a_loss_free_run_raises_zero_false_suspicions() {
     // E21's control row, pinned as a test: with no loss, no churn and an
     // RTT far inside the deadline, nothing is ever suspected — let alone

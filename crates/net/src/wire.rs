@@ -964,6 +964,26 @@ mod tests {
     }
 
     #[test]
+    fn sealed_frame_bytes_are_pinned() {
+        // A golden frame: fixed key, sender and 8-byte payload — the shape
+        // of every datagram a sealed max-gossip cluster sends. Header
+        // (12 B), truncated tag (16 B), little-endian f64 (8 B). Any
+        // change to the framing or the MAC shows up here as a byte diff.
+        let mut raw = [0u8; 32];
+        for (i, b) in raw.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(7).wrapping_add(3);
+        }
+        let key = AuthKey::from_bytes(raw);
+        let sealed = encode_frame_sealed(NodeId::new(5), TraceCtx::NONE, Some(&key), &42.5f64);
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "75ca0102050000000800000067b0b2738cba08a5f8bd89163c9fcd880000000000404540"
+        );
+        assert_eq!(sealed.len(), FRAME_HEADER_BYTES + AUTH_TAG_BYTES + 8);
+    }
+
+    #[test]
     fn keyless_sealing_is_byte_identical_to_legacy_encoders() {
         let msg = vec![1u64, 2, 3];
         let ctx = TraceCtx {

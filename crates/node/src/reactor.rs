@@ -110,10 +110,13 @@ impl Reactor {
     /// directly when the host is otherwise paused (a test scraping
     /// `/metrics` mid-run against frozen stats does exactly this).
     /// Returns the number of requests served.
+    ///
+    /// The socket address for `/status` is looked up per request served,
+    /// so a pass with no server, or no pending request, makes no syscall.
     pub fn pump_status<H: Handler>(&mut self, core: &NodeCore<H>) -> usize {
-        let udp_addr = self.socket.local_addr().ok();
+        let socket = &self.socket;
         match &mut self.status {
-            Some(server) => server.poll(|req| core.respond(req, udp_addr)),
+            Some(server) => server.poll(|req| core.respond(req, socket.local_addr().ok())),
             None => 0,
         }
     }
@@ -224,5 +227,36 @@ impl std::fmt::Debug for Reactor {
             .field("nonblocking", &self.nonblocking)
             .field("status", &self.status_addr())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gossip_net::{Mailbox, NodeId, TimerId};
+
+    /// A handler that never sends: the reactor is all this test drives.
+    struct Silent;
+
+    impl Handler for Silent {
+        type Msg = u64;
+        fn on_start(&mut self, _: &mut dyn Mailbox<u64>) {}
+        fn on_message(&mut self, _: NodeId, _: u64, _: &mut dyn Mailbox<u64>) {}
+        fn on_timer(&mut self, _: TimerId, _: &mut dyn Mailbox<u64>) {}
+    }
+
+    #[test]
+    fn pump_status_without_a_server_serves_nothing() {
+        let mut reactor = match Reactor::bind(("127.0.0.1", 0)) {
+            Ok(reactor) => reactor,
+            Err(e) if cfg!(feature = "sockets-required") => {
+                panic!("sockets-required is on but loopback binding failed: {e}")
+            }
+            Err(_) => return, // the sandbox forbids binds
+        };
+        let me = reactor.local_addr().expect("bound socket has an address");
+        let core = NodeCore::new(NodeId::new(0), vec![me], 1, Silent);
+        assert_eq!(reactor.status_addr(), None);
+        assert_eq!(reactor.pump_status(&core), 0);
     }
 }

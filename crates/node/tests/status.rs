@@ -232,7 +232,12 @@ fn member_host_serves_metrics_status_and_trace() {
     let (code, page) = get(status, "/status", &mut pump);
     assert_eq!(code, 200);
     assert!(page.contains("node 0 of 2"));
-    assert!(page.contains("udp_addr:"));
+    // The host's actual bound UDP address, not merely the label.
+    assert!(
+        page.contains(&format!("udp_addr: {}\n", peers[0])),
+        "status page lacks the bound address {}:\n{page}",
+        peers[0]
+    );
     assert!(page.contains("(me)"));
     assert!(page.contains("ae.store: 2/2 origins known"));
 

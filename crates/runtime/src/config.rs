@@ -88,39 +88,20 @@ impl AsyncConfig {
     /// Set the latency model.
     ///
     /// # Panics
-    /// Panics on a model no run could sample from: a uniform range with
-    /// `lo_us > hi_us`, or a log-normal whose median is not finite and
-    /// positive or whose σ is not finite and non-negative.
+    /// Panics on a model no run could sample from (see
+    /// [`validate`](AsyncConfig::validate)).
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        match latency {
-            LatencyModel::Constant(_) => {}
-            LatencyModel::Uniform { lo_us, hi_us } => assert!(
-                lo_us <= hi_us,
-                "uniform latency needs lo_us <= hi_us, got [{lo_us}, {hi_us}]"
-            ),
-            LatencyModel::LogNormal { median_us, sigma } => {
-                assert!(
-                    median_us.is_finite() && median_us > 0.0,
-                    "log-normal latency needs a finite positive median, got {median_us}"
-                );
-                assert!(
-                    sigma.is_finite() && sigma >= 0.0,
-                    "log-normal latency needs a finite sigma >= 0, got {sigma}"
-                );
-            }
-        }
         self.latency = latency;
-        self
+        self.validated()
     }
 
     /// Set the deterministic per-link latency spread (`[0, 1)`).
+    ///
+    /// # Panics
+    /// Panics on a spread outside `[0, 1)`.
     pub fn with_link_spread(mut self, spread: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&spread),
-            "link spread must lie in [0, 1), got {spread}"
-        );
         self.link_spread = spread;
-        self
+        self.validated()
     }
 
     /// Set the churn model.
@@ -130,15 +111,69 @@ impl AsyncConfig {
     }
 
     /// Cap each node's per-round sending budget (bits).
+    ///
+    /// # Panics
+    /// Panics on a zero budget.
     pub fn with_bandwidth_bits_per_round(mut self, bits: u64) -> Self {
-        assert!(bits > 0, "bandwidth budget must be positive");
         self.bandwidth_bits_per_round = Some(bits);
-        self
+        self.validated()
     }
 
     /// Set the round-closing policy.
     pub fn with_round_policy(mut self, policy: RoundPolicy) -> Self {
         self.round_policy = policy;
+        self
+    }
+
+    /// Check every field against its documented domain. The builders
+    /// enforce this one field at a time; the fields are public, so a
+    /// configuration assembled by assignment is re-checked here by both
+    /// event-core constructors. Rejects an invalid [`SimConfig`], a
+    /// uniform latency range with `lo_us > hi_us`, a log-normal whose
+    /// median is not finite and positive or whose σ is not finite and
+    /// non-negative, a link spread outside `[0, 1)`, and a zero bandwidth
+    /// budget.
+    pub fn validate(&self) -> Result<(), String> {
+        self.sim.validate()?;
+        match self.latency {
+            LatencyModel::Constant(_) => {}
+            LatencyModel::Uniform { lo_us, hi_us } => {
+                if lo_us > hi_us {
+                    return Err(format!(
+                        "uniform latency needs lo_us <= hi_us, got [{lo_us}, {hi_us}]"
+                    ));
+                }
+            }
+            LatencyModel::LogNormal { median_us, sigma } => {
+                if !(median_us.is_finite() && median_us > 0.0) {
+                    return Err(format!(
+                        "log-normal latency needs a finite positive median, got {median_us}"
+                    ));
+                }
+                if !(sigma.is_finite() && sigma >= 0.0) {
+                    return Err(format!(
+                        "log-normal latency needs a finite sigma >= 0, got {sigma}"
+                    ));
+                }
+            }
+        }
+        if !(0.0..1.0).contains(&self.link_spread) {
+            return Err(format!(
+                "link spread must lie in [0, 1), got {}",
+                self.link_spread
+            ));
+        }
+        if self.bandwidth_bits_per_round == Some(0) {
+            return Err("bandwidth budget must be positive".to_string());
+        }
+        Ok(())
+    }
+
+    /// `self`, or a panic naming the first invalid field.
+    pub(crate) fn validated(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("invalid asynchronous configuration: {e}");
+        }
         self
     }
 }
@@ -166,6 +201,88 @@ mod tests {
         ] {
             assert_eq!(config().with_latency(model).latency, model);
         }
+    }
+
+    #[test]
+    fn validate_accepts_builder_output() {
+        let built = config()
+            .with_latency(LatencyModel::Uniform {
+                lo_us: 100,
+                hi_us: 900,
+            })
+            .with_link_spread(0.5)
+            .with_bandwidth_bits_per_round(64);
+        assert_eq!(built.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_field_assigned_configs() {
+        let mut bad = config();
+        bad.sim.n = 0;
+        assert!(bad.validate().unwrap_err().contains("at least one node"));
+        let mut bad = config();
+        bad.latency = LatencyModel::Uniform {
+            lo_us: 2_000,
+            hi_us: 1_000,
+        };
+        assert!(bad.validate().unwrap_err().contains("lo_us <= hi_us"));
+        let mut bad = config();
+        bad.link_spread = 1.0;
+        assert!(bad.validate().unwrap_err().contains("link spread"));
+        let mut bad = config();
+        bad.bandwidth_bits_per_round = Some(0);
+        assert!(bad.validate().unwrap_err().contains("bandwidth budget"));
+    }
+
+    /// A uniform range assigned directly, past the builder: the field
+    /// assignment that used to reach `median_us` and underflow there.
+    fn inverted_by_assignment() -> AsyncConfig {
+        let mut cfg = config();
+        cfg.latency = LatencyModel::Uniform {
+            lo_us: 2_000,
+            hi_us: 1_000,
+        };
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "lo_us <= hi_us")]
+    fn sharded_transport_rejects_a_field_assigned_inverted_range() {
+        let _ = crate::ShardedTransport::new(inverted_by_assignment(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lo_us <= hi_us")]
+    fn sharded_driver_rejects_a_field_assigned_inverted_range() {
+        let _ = crate::ShardedDriver::new(inverted_by_assignment(), 2, |_| Idle);
+    }
+
+    #[test]
+    #[should_panic(expected = "link spread must lie in [0, 1)")]
+    fn out_of_range_link_spread_is_rejected() {
+        let _ = config().with_link_spread(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth budget must be positive")]
+    fn zero_bandwidth_budget_is_rejected() {
+        let _ = config().with_bandwidth_bits_per_round(0);
+    }
+
+    /// A handler that does nothing: the driver constructor is under test.
+    struct Idle;
+
+    impl gossip_net::Handler for Idle {
+        type Msg = u64;
+        fn on_start(&mut self, _: &mut dyn gossip_net::Mailbox<u64>) {}
+        fn on_message(
+            &mut self,
+            _: gossip_net::NodeId,
+            _: u64,
+            _: &mut dyn gossip_net::Mailbox<u64>,
+        ) {
+        }
+        fn on_timer(&mut self, _: gossip_net::TimerId, _: &mut dyn gossip_net::Mailbox<u64>) {}
     }
 
     #[test]

@@ -113,10 +113,7 @@ impl ShardedTransport {
     /// [`Network::new`](gossip_net::Network::new) (same RNG stream).
     pub fn new(config: AsyncConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        config
-            .sim
-            .validate()
-            .expect("invalid simulation configuration");
+        let config = config.validated();
         let n = config.sim.n;
         let num_shards = shards.min(n).max(1);
         let chunk = n.div_ceil(num_shards);

@@ -825,10 +825,7 @@ where
         factory: impl Fn(NodeId) -> H + Send + 'static,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        config
-            .sim
-            .validate()
-            .expect("invalid simulation configuration");
+        let config = config.validated();
         let n = config.sim.n;
         let num_shards = shards.min(n);
         let chunk = n.div_ceil(num_shards);
