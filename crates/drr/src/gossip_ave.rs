@@ -45,11 +45,13 @@ impl GossipAveConfig {
 /// Outcome of Gossip-ave.
 #[derive(Clone, Debug)]
 pub struct GossipAveOutcome {
-    /// Average estimate `s/g` per node; `Some` at alive roots.
+    /// Average estimate `s/g` per node; `Some` at alive roots that hold
+    /// weight (`g > 0`).
     pub estimates: Vec<Option<f64>>,
     /// The largest-tree root `z` (the node Theorem 7 is about).
     pub largest_root: NodeId,
-    /// The estimate at the largest-tree root.
+    /// The estimate at the largest-tree root; NaN when it has none (dead,
+    /// or holding no weight).
     pub largest_root_estimate: f64,
     /// The true average implied by the initial `(s, g)` mass.
     pub true_average: f64,
@@ -160,20 +162,12 @@ pub fn gossip_ave<T: Transport>(
         error_trace.push(relative_error(estimate, true_average));
     }
 
+    // A root holding no weight has no estimate: `s/g` is undefined there,
+    // and a made-up 0.0 would look like a real average to data spread.
     let estimates: Vec<Option<f64>> = (0..n)
-        .map(|i| {
-            if active[i] {
-                Some(if weight[i] > 0.0 {
-                    sum[i] / weight[i]
-                } else {
-                    0.0
-                })
-            } else {
-                None
-            }
-        })
+        .map(|i| (active[i] && weight[i] > 0.0).then(|| sum[i] / weight[i]))
         .collect();
-    let largest_root_estimate = estimates[largest_root.index()].unwrap_or(0.0);
+    let largest_root_estimate = estimates[largest_root.index()].unwrap_or(f64::NAN);
 
     GossipAveOutcome {
         estimates,
@@ -316,6 +310,29 @@ mod tests {
                 assert_eq!(out.estimates[v.index()], None);
             }
         }
+    }
+
+    #[test]
+    fn roots_holding_no_weight_have_no_estimate() {
+        let n = 500;
+        let (forest, mut net, _) = setup(n, 19, 0.0, &vec![1.0; n]);
+        // Every root alive but empty: no mass anywhere, so no root can
+        // ever hold weight.
+        let empty = Some(AverageState {
+            sum: 0.0,
+            count: 0.0,
+        });
+        let initial = vec![empty; n];
+        let out = gossip_ave(&mut net, &forest, &initial, &GossipAveConfig::default());
+        assert!(forest.roots().len() > 1);
+        for &root in forest.roots() {
+            assert_eq!(out.estimates[root.index()], None, "root {root}");
+        }
+        assert!(
+            out.largest_root_estimate.is_nan(),
+            "largest root estimate = {}",
+            out.largest_root_estimate
+        );
     }
 
     #[test]

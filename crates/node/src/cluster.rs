@@ -2,12 +2,23 @@
 //!
 //! [`LoopbackCluster`] binds `n` UDP sockets on ephemeral loopback ports,
 //! builds the shared address book, and round-robins the hosts'
-//! non-blocking [`poll`](crate::NodeHost::poll) loops on the calling
-//! thread. One thread for the whole cluster keeps mid-run inspection
-//! trivial — a convergence predicate can look at every handler between
-//! pump passes — which is exactly what the integration tests and the E19
-//! experiment need. The datagrams are real: they leave through the kernel
-//! and come back through it, socket buffers and all.
+//! non-blocking [`poll`](crate::NodeHost::poll) loops. The datagrams are
+//! real: they leave through the kernel and come back through it, socket
+//! buffers and all. Two pump disciplines share one pass over the hosts:
+//!
+//! * [`poll`](LoopbackCluster::poll), [`run_for`](LoopbackCluster::run_for)
+//!   and [`run_until`](LoopbackCluster::run_until) round-robin every host
+//!   on the calling thread. A convergence predicate looks at every
+//!   handler between passes, which is what the integration tests, the
+//!   E19 experiment and the `udp_sealed` benchmark need.
+//! * [`run_parallel_until`](LoopbackCluster::run_parallel_until) runs the
+//!   same pass on one worker per core: in slices of about 5 ms, each worker
+//!   round-robins a contiguous chunk of the hosts on its own scoped
+//!   thread. Between slices the calling thread owns every host again: it
+//!   checks the predicate and the timeout and answers status scrapes.
+//!   Callbacks run truly concurrently, so state that leaks across nodes or
+//!   code that only works single-threaded shows up, yet the cluster needs
+//!   no locks, no lifecycle and no second metrics format.
 
 use crate::host::{NodeHost, NodeStats};
 use gossip_net::{Handler, Metrics, NodeId, WireMsg};
@@ -20,8 +31,13 @@ use std::time::{Duration, Instant};
 /// cluster from spinning a core flat out.
 const IDLE_BACKOFF: Duration = Duration::from_micros(200);
 
-/// `n` [`NodeHost`]s on loopback sockets, pumped from one thread. See the
-/// module docs.
+/// How long the workers of [`LoopbackCluster::run_parallel_until`] pump
+/// before the calling thread checks the predicate and the status
+/// endpoint again.
+const SLICE: Duration = Duration::from_millis(5);
+
+/// `n` [`NodeHost`]s on loopback sockets, pumped from the calling thread
+/// or from one worker per core. See the module docs.
 pub struct LoopbackCluster<H: Handler> {
     hosts: Vec<NodeHost<H>>,
     /// A cluster-wide `/metrics` + `/status` endpoint (`None` until
@@ -115,7 +131,9 @@ where
     /// field-wise sum over every member — stats and metrics structs are
     /// merged *first* and routed through one registry, so max-style gauges
     /// stay maxima instead of summing. Pumped by
-    /// [`poll`](LoopbackCluster::poll) like the member sockets.
+    /// [`poll`](LoopbackCluster::poll) like the member sockets, and by
+    /// [`run_parallel_until`](LoopbackCluster::run_parallel_until)
+    /// between slices.
     pub fn serve_status(&mut self, addr: impl std::net::ToSocketAddrs) -> io::Result<SocketAddr> {
         let server = HttpServer::bind(addr)?;
         let bound = server.local_addr()?;
@@ -285,7 +303,7 @@ where
     /// One pump pass: poll every host once, in node-id order. Returns the
     /// number of callbacks dispatched across the cluster; `0` = idle.
     pub fn poll(&mut self) -> usize {
-        let dispatched = self.hosts.iter_mut().map(NodeHost::poll).sum();
+        let dispatched = pass(&mut self.hosts);
         self.pump_status();
         dispatched
     }
@@ -329,6 +347,60 @@ where
             }
         }
     }
+
+    /// [`run_until`](Self::run_until) on one worker per core: in slices of
+    /// about 5 ms, `W = min(n, max(2, available_parallelism()))` scoped
+    /// threads each round-robin a contiguous chunk of the hosts (the floor
+    /// of 2 keeps the run concurrent on a 1-CPU machine). Between slices
+    /// the calling thread owns every host: it checks `done(hosts)` and the
+    /// timeout and answers the status endpoint. Same return value as
+    /// `run_until`, with the elapsed time read at a slice boundary; the
+    /// final state is in [`hosts`](Self::hosts).
+    pub fn run_parallel_until(
+        &mut self,
+        timeout: Duration,
+        mut done: impl FnMut(&[NodeHost<H>]) -> bool,
+    ) -> Option<Duration>
+    where
+        H: Send,
+    {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let workers = self.hosts.len().min(cores.max(2));
+        let chunk = self.hosts.len().div_ceil(workers);
+        let started = Instant::now();
+        loop {
+            if done(&self.hosts) {
+                return Some(started.elapsed());
+            }
+            let elapsed = started.elapsed();
+            if elapsed >= timeout {
+                return None;
+            }
+            let slice_end = Instant::now() + (timeout - elapsed).min(SLICE);
+            std::thread::scope(|scope| {
+                for hosts in self.hosts.chunks_mut(chunk) {
+                    scope.spawn(move || {
+                        while Instant::now() < slice_end {
+                            if pass(hosts) == 0 {
+                                std::thread::sleep(IDLE_BACKOFF);
+                            }
+                        }
+                    });
+                }
+            });
+            self.pump_status();
+        }
+    }
+}
+
+/// One pump pass: poll every host once, in order. Returns the number of
+/// callbacks dispatched; `0` = idle. The single-thread loops run it over
+/// the whole cluster, each parallel worker over its chunk.
+fn pass<H: Handler>(hosts: &mut [NodeHost<H>]) -> usize
+where
+    H::Msg: WireMsg,
+{
+    hosts.iter_mut().map(NodeHost::poll).sum()
 }
 
 impl<H: Handler> std::fmt::Debug for LoopbackCluster<H> {

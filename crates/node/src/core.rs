@@ -15,9 +15,10 @@
 //!   bytes on its transport.
 //!
 //! This split is what makes the core host-agnostic: the blocking
-//! reactor ([`Reactor`](crate::Reactor)), the threaded cluster and any
-//! test harness drive the *same* engine, so dispatch order, stats and
-//! authentication policy cannot drift between deployment shapes.
+//! reactor ([`Reactor`](crate::Reactor)), the loopback cluster's
+//! single-thread and per-core passes and any test harness drive the
+//! *same* engine, so dispatch order, stats and authentication policy
+//! cannot drift between deployment shapes.
 
 use gossip_net::{
     decode_frame_sealed, node_rng, seal_frame, AuthKey, Handler, Mailbox, Metrics, NodeId, Phase,

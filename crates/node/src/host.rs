@@ -159,20 +159,6 @@ where
     pub fn pump_status(&mut self) -> usize {
         self.reactor.pump_status(&self.core)
     }
-
-    /// Split this host into its two halves — the protocol engine and the
-    /// I/O engine — for callers that drive them independently (the
-    /// threaded cluster's worker loop does). Rejoin with
-    /// [`from_parts`](NodeHost::from_parts).
-    pub fn into_parts(self) -> (NodeCore<H>, Reactor) {
-        (self.core, self.reactor)
-    }
-
-    /// Reassemble a host from its halves (see
-    /// [`into_parts`](NodeHost::into_parts)).
-    pub fn from_parts(core: NodeCore<H>, reactor: Reactor) -> Self {
-        NodeHost { core, reactor }
-    }
 }
 
 impl<H: Handler> NodeHost<H> {

@@ -18,8 +18,11 @@
 //!   event loop that keeps the simulators' `(timestamp, seq)` dispatch
 //!   discipline wherever reality permits it.
 //! * [`LoopbackCluster`] — N hosts on 127.0.0.1 ephemeral ports, pumped
-//!   from one thread: the integration harness that lets a test assert
-//!   "this protocol converges over real sockets" in milliseconds.
+//!   round-robin from the calling thread or, through
+//!   `run_parallel_until`, from one worker thread per core: the
+//!   integration harness that lets a test assert "this protocol converges
+//!   over real sockets" in milliseconds, and that runs callbacks truly
+//!   concurrently when asked to.
 //!
 //! Both expose a live observability endpoint (`serve_status`): `/metrics`
 //! in Prometheus text exposition, `/status` as a human-readable summary,
@@ -40,10 +43,8 @@ pub mod cluster;
 pub mod core;
 pub mod host;
 pub mod reactor;
-pub mod threaded;
 
 pub use crate::core::{FrameSink, NodeCore, NodeStats, Recv};
 pub use cluster::LoopbackCluster;
 pub use host::NodeHost;
 pub use reactor::{Reactor, MAX_BLOCK_WAIT};
-pub use threaded::ThreadedCluster;

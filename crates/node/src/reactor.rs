@@ -11,12 +11,12 @@
 //!
 //! * `pump(core, None)` — non-blocking: fire due timers, drain up to a
 //!   batch of waiting datagrams (re-checking timers between packets),
-//!   answer status scrapes, return. The round-robin clusters use this.
+//!   answer status scrapes, return. The loopback cluster's round-robin
+//!   passes use this, on one thread or on one worker per core.
 //! * `pump(core, Some(budget))` — blocking: same pass, but the socket
 //!   wait sleeps in the kernel for up to `budget`, bounded by the next
 //!   due timer and [`MAX_BLOCK_WAIT`] so timers and scrapes stay
-//!   punctual. Deployed single-node loops and the threaded cluster's
-//!   worker threads use this.
+//!   punctual. Deployed single-node loops use this.
 //!
 //! Splitting I/O from protocol state is also what makes the core
 //! testable without sockets and reusable across host shapes — see the
@@ -208,8 +208,8 @@ impl Reactor {
         }
     }
 
-    /// Bound one blocking receive. Also used by the threaded cluster's
-    /// workers for stop-flag responsiveness.
+    /// Bound one blocking receive, so the blocking pump wakes for timers,
+    /// deadlines and status scrapes.
     fn set_read_timeout(&mut self, timeout: Duration) {
         if self.read_timeout != Some(timeout) {
             self.socket

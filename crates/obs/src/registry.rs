@@ -241,37 +241,6 @@ fn label_key(labels: &[(&str, &str)]) -> String {
     out
 }
 
-/// Insert one rendered `k="v"` pair into a rendered label block, keeping
-/// the block sorted by label key. The split is escape-aware: commas
-/// inside quoted (possibly escaped) label values never count as pair
-/// separators, so hostile label values survive the round trip.
-fn insert_label_pair(block: &str, pair: &str) -> String {
-    if block.is_empty() {
-        return format!("{{{pair}}}");
-    }
-    let inner = &block[1..block.len() - 1];
-    let mut pairs: Vec<&str> = Vec::new();
-    let (mut start, mut in_quotes, mut escaped) = (0usize, false, false);
-    for (i, c) in inner.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' if in_quotes => escaped = true,
-            '"' => in_quotes = !in_quotes,
-            ',' if !in_quotes => {
-                pairs.push(&inner[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    pairs.push(&inner[start..]);
-    // `k="v"` chunks order by key first (keys are never escaped), which
-    // is the order label_key produces.
-    let at = pairs.partition_point(|existing| *existing < pair);
-    pairs.insert(at, pair);
-    format!("{{{}}}", pairs.join(","))
-}
-
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -373,45 +342,6 @@ impl Registry {
             });
             for (labels, value) in &family.samples {
                 match dst.samples.entry(labels.clone()) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(value.clone());
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        match (slot.get_mut(), value) {
-                            (Value::Counter(c), Value::Counter(a)) => *c += a,
-                            (Value::Gauge(g), Value::Gauge(a)) => *g += a,
-                            (Value::Hist(h), Value::Hist(o)) => h.merge(o),
-                            _ => panic!("metric {name} used with two different types"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Merge another registry with one extra label attached to every
-    /// incoming sample — the per-node aggregation path of a multi-node
-    /// host: each member fills its own registry label-free, and the
-    /// cluster page folds them together as `...{node="3"}` so per-node
-    /// series stay distinguishable. Same combine semantics as
-    /// [`merge`](Registry::merge) (counters and gauges add, histograms
-    /// merge), so calling it twice with the same label value accumulates.
-    ///
-    /// The label is *added* to whatever labels a sample already carries,
-    /// inserted in sorted position; `label.0` should not collide with an
-    /// existing label key on the same sample (the rendered block would
-    /// carry the key twice).
-    pub fn merge_labelled(&mut self, other: &Registry, label: (&str, &str)) {
-        // Render the extra pair once, exactly as label_key would.
-        let rendered = label_key(&[label]);
-        let pair = &rendered[1..rendered.len() - 1]; // `k="v"` without braces
-        for (name, family) in &other.families {
-            let dst = self.families.entry(name.clone()).or_insert_with(|| Family {
-                help: family.help.clone(),
-                samples: BTreeMap::new(),
-            });
-            for (labels, value) in &family.samples {
-                match dst.samples.entry(insert_label_pair(labels, pair)) {
                     std::collections::btree_map::Entry::Vacant(slot) => {
                         slot.insert(value.clone());
                     }
@@ -706,73 +636,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("m_total{v=\"a\\nb\"} 1"));
         assert!(text.contains("m_total{v=\"a\\\\nb\"} 2"));
-    }
-
-    #[test]
-    fn merge_labelled_splits_series_per_node() {
-        let mut node0 = Registry::new();
-        node0.add_counter("sent_total", "sends", &[], 5);
-        node0.set_gauge("up", "upness", &[], 1.0);
-        node0.observe("lat_us", "latency", &[], 10);
-        let mut node1 = Registry::new();
-        node1.add_counter("sent_total", "sends", &[], 7);
-
-        let mut cluster = Registry::new();
-        cluster.merge_labelled(&node0, ("node", "0"));
-        cluster.merge_labelled(&node1, ("node", "1"));
-        assert_eq!(
-            cluster.counter_value("sent_total", &[("node", "0")]),
-            Some(5)
-        );
-        assert_eq!(
-            cluster.counter_value("sent_total", &[("node", "1")]),
-            Some(7)
-        );
-        assert_eq!(cluster.gauge_value("up", &[("node", "0")]), Some(1.0));
-        assert_eq!(
-            cluster
-                .histogram("lat_us", &[("node", "0")])
-                .map(Histogram::count),
-            Some(1)
-        );
-        // Re-merging the same node accumulates into the same series.
-        cluster.merge_labelled(&node0, ("node", "0"));
-        assert_eq!(
-            cluster.counter_value("sent_total", &[("node", "0")]),
-            Some(10)
-        );
-        let text = cluster.render();
-        assert!(text.contains("sent_total{node=\"0\"} 10"));
-        assert!(text.contains("sent_total{node=\"1\"} 7"));
-    }
-
-    #[test]
-    fn merge_labelled_composes_with_existing_labels() {
-        let mut per_node = Registry::new();
-        per_node.add_counter("m_total", "m", &[("phase", "rumor")], 3);
-        // A hostile value containing every separator the splitter must
-        // not trip on: commas, quotes, backslashes, a newline.
-        per_node.add_counter("m_total", "m", &[("v", "a,b\",c\\n,\nd")], 9);
-        per_node.add_counter("m_total", "m", &[("zz", "9"), ("aa", "1")], 4);
-
-        let mut cluster = Registry::new();
-        cluster.merge_labelled(&per_node, ("node", "12"));
-        assert_eq!(
-            cluster.counter_value("m_total", &[("phase", "rumor"), ("node", "12")]),
-            Some(3)
-        );
-        assert_eq!(
-            cluster.counter_value("m_total", &[("v", "a,b\",c\\n,\nd"), ("node", "12")]),
-            Some(9)
-        );
-        assert_eq!(
-            cluster.counter_value("m_total", &[("zz", "9"), ("aa", "1"), ("node", "12")]),
-            Some(4)
-        );
-        // The rendered block keeps keys sorted with `node` interleaved.
-        assert!(cluster
-            .render()
-            .contains("m_total{aa=\"1\",node=\"12\",zz=\"9\"} 4"));
     }
 
     #[test]

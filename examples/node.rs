@@ -42,7 +42,7 @@ use drr_gossip::ae::signal::SignalModel;
 use drr_gossip::drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use drr_gossip::member::{Member, MemberConfig};
 use drr_gossip::net::{AuthKey, Handler, NodeId, SimConfig, WireMsg};
-use gossip_node::{LoopbackCluster, NodeHost, ThreadedCluster};
+use gossip_node::{LoopbackCluster, NodeHost};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -72,8 +72,9 @@ struct Args {
     /// truncated HMAC-SHA256 tag, and bare or badly tagged frames are
     /// rejected (counted, never fatal).
     auth_key: Option<String>,
-    /// Cluster mode on OS threads: one worker thread per node
-    /// (`ThreadedCluster`) instead of the single-threaded round-robin.
+    /// Cluster mode on one worker thread per core
+    /// (`LoopbackCluster::run_parallel_until`) instead of the
+    /// single-threaded round-robin.
     threads: bool,
     /// Cluster mode only: run an in-process attacker thread hammering
     /// node 0 with bare and tampered frames for the whole run, so the
@@ -334,7 +335,7 @@ fn finish_attacker(
     }
 }
 
-fn run_cluster<H: Handler>(
+fn run_cluster<H: Handler + Send>(
     n: usize,
     args: &Args,
     factory: impl Fn(NodeId) -> H,
@@ -355,7 +356,12 @@ fn run_cluster<H: Handler>(
         cluster = cluster.with_auth_key(key);
         println!("frame authentication: required (--auth-key)");
     }
-    println!("loopback cluster: {n} nodes on 127.0.0.1 ephemeral ports");
+    let pump = if args.threads {
+        ", one worker per core"
+    } else {
+        ""
+    };
+    println!("loopback cluster: {n} nodes on 127.0.0.1 ephemeral ports{pump}");
     if let Some(addr) = &args.status_addr {
         match cluster.serve_status(addr.as_str()) {
             Ok(bound) => println!("status endpoint on http://{bound} (/metrics /status)"),
@@ -373,7 +379,12 @@ fn run_cluster<H: Handler>(
         spawn_attacker(target, cluster_key(args))
     });
     let timeout = Duration::from_millis(args.run_ms.max(1));
-    let converged = cluster.run_until(timeout, |hosts| hosts.iter().all(|h| done(h.handler())));
+    let converged = |hosts: &[NodeHost<H>]| hosts.iter().all(|h| done(h.handler()));
+    let converged = if args.threads {
+        cluster.run_parallel_until(timeout, converged)
+    } else {
+        cluster.run_until(timeout, converged)
+    };
     match converged {
         Some(elapsed) => println!("converged in {:.1} ms (wall)", elapsed.as_secs_f64() * 1e3),
         None => println!("not converged within {} ms", args.run_ms),
@@ -383,7 +394,11 @@ fn run_cluster<H: Handler>(
     if args.status_addr.is_some() {
         if let Some(elapsed) = converged {
             if let Some(remaining) = timeout.checked_sub(elapsed) {
-                cluster.run_for(remaining);
+                if args.threads {
+                    cluster.run_parallel_until(remaining, |_| false);
+                } else {
+                    cluster.run_for(remaining);
+                }
             }
         }
     }
@@ -397,87 +412,20 @@ fn run_cluster<H: Handler>(
     }
 }
 
-/// Cluster mode on OS threads: same lifecycle as [`run_cluster`], but
-/// each node pumps its own socket on its own worker thread
-/// (`ThreadedCluster`), and the `/metrics` page folds per-node registry
-/// snapshots under a `node` label.
-fn run_threaded<H>(
-    n: usize,
-    args: &Args,
-    factory: impl Fn(NodeId) -> H,
-    done: impl Fn(&H) -> bool + Send + Sync + 'static,
-    report: impl Fn(&H) -> String,
-) where
-    H: Handler + Send + 'static,
-    H::Msg: WireMsg,
-{
-    let mut cluster = ThreadedCluster::bind(n, args.seed, factory)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot bind a threaded cluster: {e}");
-            std::process::exit(1);
-        })
-        .with_trace(256);
-    if let Some(key) = cluster_key(args) {
-        cluster = cluster.with_auth_key(key);
-        println!("frame authentication: required (--auth-key)");
-    }
-    println!("threaded cluster: {n} nodes, one OS thread each, on 127.0.0.1 ephemeral ports");
-    if let Some(addr) = &args.status_addr {
-        match cluster.serve_status(addr.as_str()) {
-            Ok(bound) => println!("status endpoint on http://{bound} (/metrics /status)"),
-            Err(e) => {
-                eprintln!("cannot bind status endpoint {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let attacker = args
-        .inject_hostile
-        .then(|| spawn_attacker(cluster.peer_addrs()[0], cluster_key(args)));
-    let timeout = Duration::from_millis(args.run_ms.max(1));
-    let converged = cluster.run_until(timeout, done);
-    match converged {
-        Some(elapsed) => println!("converged in {:.1} ms (wall)", elapsed.as_secs_f64() * 1e3),
-        None => println!("not converged within {} ms", args.run_ms),
-    }
-    // Keep the workers running and the endpoint scrapeable for the rest
-    // of the requested run.
-    if args.status_addr.is_some() {
-        if let Some(elapsed) = converged {
-            if let Some(remaining) = timeout.checked_sub(elapsed) {
-                cluster.run_for(remaining);
-            }
-        }
-    }
-    finish_attacker(attacker);
-    let hosts = cluster.stop();
-    let mut total = gossip_node::NodeStats::default();
-    for host in &hosts {
-        total.merge(host.stats());
-    }
-    print_stats("wire totals", &total);
-    for host in hosts.iter().take(4) {
-        println!("  node {}: {}", host.me(), report(host.handler()));
-    }
-    if n > 4 {
-        println!("  ... ({} more nodes)", n - 4);
-    }
-}
-
 /// Cluster mode, with or without the membership layer and with either
 /// pump discipline: `--member` wraps the factory in [`Member`], requires
 /// every node to finish the join handshake before the convergence
 /// predicate counts, and prefixes each node's report with its membership
-/// view; `--threads` swaps the single-threaded round-robin for one OS
-/// thread per node.
+/// view; `--threads` pumps the cluster on one worker thread per core
+/// instead of the single-threaded round-robin.
 fn dispatch_cluster<H>(
     n: usize,
     args: &Args,
     factory: impl Fn(NodeId) -> H,
-    done: impl Fn(&H) -> bool + Copy + Send + Sync + 'static,
-    report: impl Fn(&H) -> String + Copy,
+    done: impl Fn(&H) -> bool,
+    report: impl Fn(&H) -> String,
 ) where
-    H: Handler + Send + 'static,
+    H: Handler + Send,
     H::Msg: WireMsg,
 {
     if args.member {
@@ -485,13 +433,7 @@ fn dispatch_cluster<H>(
         let factory = move |me| Member::new(config.clone(), factory(me));
         let done = move |m: &Member<H>| m.is_joined() && done(m.inner());
         let report = move |m: &Member<H>| format!("{} | {}", member_summary(m), report(m.inner()));
-        if args.threads {
-            run_threaded(n, args, factory, done, report);
-        } else {
-            run_cluster(n, args, factory, done, report);
-        }
-    } else if args.threads {
-        run_threaded(n, args, factory, done, report);
+        run_cluster(n, args, factory, done, report);
     } else {
         run_cluster(n, args, factory, done, report);
     }
