@@ -13,7 +13,8 @@
 
 use gossip_ae::protocol::{AeConfig, AeMsg, AeNode, DigestMode};
 use gossip_ae::store::Entry;
-use gossip_net::{decode_frame, encode_frame, Mailbox, NodeId, Phase, TimerId};
+use gossip_net::{decode_frame_sealed, seal_frame, Mailbox, NodeId, Phase, TimerId, WireMsg};
+use gossip_obs::TraceCtx;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -77,8 +78,9 @@ fn populated_node(mode: DigestMode) -> (AeNode, RecordingMailbox) {
 /// Ship `msg` through the real wire (encode → decode) into `on_message`.
 fn deliver_over_wire(node: &mut AeNode, mailbox: &mut RecordingMailbox, msg: &AeMsg) {
     use gossip_net::Handler;
-    let frame = encode_frame(NodeId::new(1), msg);
-    let (from, decoded): (NodeId, AeMsg) = decode_frame(&frame).expect("structurally valid");
+    let frame = seal_frame(NodeId::new(1), TraceCtx::NONE, None, &msg.to_wire_bytes());
+    let (from, _, decoded) =
+        decode_frame_sealed::<AeMsg>(&frame, None).expect("structurally valid");
     node.on_message(from, decoded, mailbox);
 }
 
@@ -272,15 +274,15 @@ fn honest_wire_traffic_still_reconciles_after_the_validation() {
         let mut moved = false;
         for (to, _, msg) in mb_a.outbox.drain(..).collect::<Vec<_>>() {
             assert_eq!(to, NodeId::new(1));
-            let frame = encode_frame(NodeId::new(0), &msg);
-            let (from, decoded): (NodeId, AeMsg) = decode_frame(&frame).unwrap();
+            let frame = seal_frame(NodeId::new(0), TraceCtx::NONE, None, &msg.to_wire_bytes());
+            let (from, _, decoded) = decode_frame_sealed::<AeMsg>(&frame, None).unwrap();
             b.on_message(from, decoded, &mut mb_b);
             moved = true;
         }
         for (to, _, msg) in mb_b.outbox.drain(..).collect::<Vec<_>>() {
             assert_eq!(to, NodeId::new(0));
-            let frame = encode_frame(NodeId::new(1), &msg);
-            let (from, decoded): (NodeId, AeMsg) = decode_frame(&frame).unwrap();
+            let frame = seal_frame(NodeId::new(1), TraceCtx::NONE, None, &msg.to_wire_bytes());
+            let (from, _, decoded) = decode_frame_sealed::<AeMsg>(&frame, None).unwrap();
             a.on_message(from, decoded, &mut mb_a);
             moved = true;
         }
@@ -304,11 +306,7 @@ fn honest_wire_traffic_still_reconciles_after_the_validation() {
 /// keeps working exactly as the bare suite pins it.
 #[test]
 fn forged_sealed_frames_fail_authentication_before_any_payload_decodes() {
-    use gossip_net::{
-        decode_frame_sealed, encode_frame_sealed, AuthKey, WireError, AUTH_TAG_BYTES,
-        FRAME_HEADER_BYTES,
-    };
-    use gossip_obs::TraceCtx;
+    use gossip_net::{AuthKey, WireError, AUTH_TAG_BYTES, FRAME_HEADER_BYTES};
 
     let key = AuthKey::from_passphrase("ae-hostile-suite");
     let wrong_key = AuthKey::from_passphrase("ae-hostile-suite-but-wrong");
@@ -317,7 +315,8 @@ fn forged_sealed_frames_fail_authentication_before_any_payload_decodes() {
     let attacker = NodeId::new(1);
 
     for msg in &hostile_digests() {
-        let sealed = encode_frame_sealed(attacker, TraceCtx::NONE, Some(&key), msg);
+        let payload = msg.to_wire_bytes();
+        let sealed = seal_frame(attacker, TraceCtx::NONE, Some(&key), &payload);
 
         // Tampered tag byte.
         let mut tampered_tag = sealed.clone();
@@ -343,7 +342,7 @@ fn forged_sealed_frames_fail_authentication_before_any_payload_decodes() {
         ));
 
         // Sealed under the wrong key.
-        let foreign = encode_frame_sealed(attacker, TraceCtx::NONE, Some(&wrong_key), msg);
+        let foreign = seal_frame(attacker, TraceCtx::NONE, Some(&wrong_key), &payload);
         assert!(matches!(
             decode_frame_sealed::<AeMsg>(&foreign, Some(&key)),
             Err(WireError::BadAuthTag)
@@ -352,7 +351,7 @@ fn forged_sealed_frames_fail_authentication_before_any_payload_decodes() {
         // A replayed bare frame — byte-identical to what a keyless
         // cluster would accept — is refused outright when a key is
         // required.
-        let bare = encode_frame(attacker, msg);
+        let bare = seal_frame(attacker, TraceCtx::NONE, None, &payload);
         assert!(matches!(
             decode_frame_sealed::<AeMsg>(&bare, Some(&key)),
             Err(WireError::AuthRequired)
@@ -372,7 +371,7 @@ fn forged_sealed_frames_fail_authentication_before_any_payload_decodes() {
     use gossip_net::Handler;
     let hostiles = hostile_digests();
     for msg in &hostiles {
-        let sealed = encode_frame_sealed(attacker, TraceCtx::NONE, Some(&key), msg);
+        let sealed = seal_frame(attacker, TraceCtx::NONE, Some(&key), &msg.to_wire_bytes());
         let (from, _ctx, decoded): (NodeId, _, AeMsg) =
             decode_frame_sealed(&sealed, Some(&key)).expect("honestly sealed frame decodes");
         node.on_message(from, decoded, &mut mailbox);

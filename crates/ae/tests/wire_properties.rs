@@ -7,7 +7,8 @@
 use gossip_ae::protocol::AeMsg;
 use gossip_ae::store::Entry;
 use gossip_ae::wire::payload_bytes;
-use gossip_net::{decode_frame, encode_frame, NodeId, WireMsg, WireReader};
+use gossip_net::{decode_frame_sealed, seal_frame, NodeId, WireMsg, WireReader};
+use gossip_obs::TraceCtx;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -91,8 +92,8 @@ proptest! {
         from in 0u32..1024,
     ) {
         for msg in messages(&raws, &[0, 3, 0, 9]) {
-            let frame = encode_frame(NodeId(from), &msg);
-            let (sender, decoded): (NodeId, AeMsg) = decode_frame(&frame).unwrap();
+            let frame = seal_frame(NodeId(from), TraceCtx::NONE, None, &msg.to_wire_bytes());
+            let (sender, _, decoded) = decode_frame_sealed::<AeMsg>(&frame, None).unwrap();
             prop_assert_eq!(sender, NodeId(from));
             prop_assert_eq!(decoded, msg);
         }
@@ -105,18 +106,18 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         for msg in messages(&raws, &[1, 0, 2]) {
-            let frame = encode_frame(NodeId(3), &msg);
+            let frame = seal_frame(NodeId(3), TraceCtx::NONE, None, &msg.to_wire_bytes());
             // Truncations.
             for _ in 0..4 {
                 let cut = rng.gen_range(0..frame.len());
-                prop_assert!(decode_frame::<AeMsg>(&frame[..cut]).is_err());
+                prop_assert!(decode_frame_sealed::<AeMsg>(&frame[..cut], None).is_err());
             }
             // Bit flips: Ok-with-different-content or Err, never a panic.
             for _ in 0..8 {
                 let mut mangled = frame.clone();
                 let bit = rng.gen_range(0..mangled.len() * 8);
                 mangled[bit / 8] ^= 1 << (bit % 8);
-                let _ = decode_frame::<AeMsg>(&mangled);
+                let _ = decode_frame_sealed::<AeMsg>(&mangled, None);
             }
         }
     }

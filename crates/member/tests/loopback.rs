@@ -14,9 +14,9 @@
 
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_member::{Liveness, Member, MemberConfig, MemberMsg, Update};
-use gossip_net::{encode_frame, Handler, NodeId, SimConfig};
+use gossip_net::{seal_frame, Handler, NodeId, SimConfig, WireMsg};
 use gossip_node::LoopbackCluster;
-use gossip_obs::Registry;
+use gossip_obs::{Registry, TraceCtx};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -298,7 +298,10 @@ fn forged_membership_updates_are_rejected_counted_and_harmless() {
     }]);
     for msg in [&unknown_subject, &stale, &self_dead] {
         attacker
-            .send_to(&encode_frame(from, msg), target)
+            .send_to(
+                &seal_frame(from, TraceCtx::NONE, None, &msg.to_wire_bytes()),
+                target,
+            )
             .expect("send forged frame");
     }
 
@@ -488,14 +491,14 @@ fn auth_required_members_reject_forged_frames_at_the_wire_and_still_converge() {
             state: Liveness::Dead,
         }],
     };
-    use gossip_net::{encode_frame_sealed, FRAME_HEADER_BYTES};
-    use gossip_obs::TraceCtx;
-    let bare = encode_frame(from, &forged);
-    let sealed = encode_frame_sealed(from, TraceCtx::NONE, Some(&key), &forged);
+    use gossip_net::FRAME_HEADER_BYTES;
+    let payload = forged.to_wire_bytes();
+    let bare = seal_frame(from, TraceCtx::NONE, None, &payload);
+    let sealed = seal_frame(from, TraceCtx::NONE, Some(&key), &payload);
     let mut tampered = sealed.clone();
     *tampered.last_mut().unwrap() ^= 0x01;
     let truncated = sealed[..FRAME_HEADER_BYTES + gossip_net::AUTH_TAG_BYTES / 2].to_vec();
-    let foreign = encode_frame_sealed(from, TraceCtx::NONE, Some(&wrong_key), &forged);
+    let foreign = seal_frame(from, TraceCtx::NONE, Some(&wrong_key), &payload);
     for frame in [&bare, &tampered, &truncated, &foreign] {
         attacker.send_to(frame, target).expect("send forged frame");
     }

@@ -4,9 +4,8 @@
 //! must all come back as `Err`, never as a panic.
 
 use gossip_net::{
-    decode_frame, decode_frame_sealed, encode_frame, encode_frame_sealed, AuthKey, NodeId,
-    WireError, WireMsg, WireReader, AUTH_TAG_BYTES, FRAME_HEADER_BYTES, MAX_PAYLOAD_BYTES,
-    WIRE_VERSION,
+    decode_frame_sealed, seal_frame, AuthKey, NodeId, WireError, WireMsg, WireReader,
+    AUTH_TAG_BYTES, FRAME_HEADER_BYTES, MAX_PAYLOAD_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };
 use gossip_obs::TraceCtx;
 use proptest::prelude::*;
@@ -54,10 +53,11 @@ proptest! {
         from in 0u32..=u32::MAX,
         payload in proptest::collection::vec(0u64..=u64::MAX, 0..64),
     ) {
-        let frame = encode_frame(NodeId(from), &payload);
+        let frame = seal_frame(NodeId(from), TraceCtx::NONE, None, &payload.to_wire_bytes());
         prop_assert_eq!(frame.len(), FRAME_HEADER_BYTES + 4 + payload.len() * 8);
-        let (decoded_from, decoded): (NodeId, Vec<u64>) = decode_frame(&frame).unwrap();
+        let (decoded_from, ctx, decoded) = decode_frame_sealed::<Vec<u64>>(&frame, None).unwrap();
         prop_assert_eq!(decoded_from, NodeId(from));
+        prop_assert!(ctx.is_none());
         prop_assert_eq!(decoded, payload);
     }
 
@@ -66,11 +66,11 @@ proptest! {
         payload in proptest::collection::vec(0u64..=u64::MAX, 0..32),
         cut_seed in 0u64..=u64::MAX,
     ) {
-        let frame = encode_frame(NodeId(1), &payload);
+        let frame = seal_frame(NodeId(1), TraceCtx::NONE, None, &payload.to_wire_bytes());
         let mut rng = SmallRng::seed_from_u64(cut_seed);
         for _ in 0..8 {
             let cut = rng.gen_range(0..frame.len());
-            prop_assert!(decode_frame::<Vec<u64>>(&frame[..cut]).is_err());
+            prop_assert!(decode_frame_sealed::<Vec<u64>>(&frame[..cut], None).is_err());
         }
     }
 
@@ -83,13 +83,13 @@ proptest! {
         // payload bit yields different but valid content) or errors; it
         // must never panic, and a header flip in the magic/version/length
         // region must not be silently accepted as the original.
-        let frame = encode_frame(NodeId(7), &payload);
+        let frame = seal_frame(NodeId(7), TraceCtx::NONE, None, &payload.to_wire_bytes());
         let mut rng = SmallRng::seed_from_u64(flip_seed);
         for _ in 0..16 {
             let mut mangled = frame.clone();
             let bit = rng.gen_range(0..mangled.len() * 8);
             mangled[bit / 8] ^= 1 << (bit % 8);
-            let _ = decode_frame::<Vec<u64>>(&mangled); // must return, is all
+            let _ = decode_frame_sealed::<Vec<u64>>(&mangled, None); // must return, is all
         }
     }
 
@@ -97,9 +97,9 @@ proptest! {
     fn random_bytes_never_panic(
         bytes in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        let _ = decode_frame::<Vec<u64>>(&bytes);
-        let _ = decode_frame::<f64>(&bytes);
-        let _ = decode_frame::<(u64, Vec<(NodeId, f64)>)>(&bytes);
+        let _ = decode_frame_sealed::<Vec<u64>>(&bytes, None);
+        let _ = decode_frame_sealed::<f64>(&bytes, None);
+        let _ = decode_frame_sealed::<(u64, Vec<(NodeId, f64)>)>(&bytes, None);
         let mut r = WireReader::new(&bytes);
         let _ = Vec::<(NodeId, f64)>::decode(&mut r);
     }
@@ -115,19 +115,27 @@ proptest! {
     ) {
         let ctx = if traced { TraceCtx { trace_id, hop } } else { TraceCtx::NONE };
         let phrase = format!("cluster-key-{key_seed:016x}");
-        // Keyless sealing is byte-identical to the legacy encoders for
-        // every sender/context/payload — the backward-compat contract.
-        let bare = encode_frame_sealed(NodeId(from), TraceCtx::NONE, None, &payload);
-        prop_assert_eq!(&bare, &encode_frame(NodeId(from), &payload));
+        // A bare frame is exactly magic ‖ version ‖ flags 0 ‖ from ‖ len ‖
+        // payload for every sender and payload: the version-1 layout that
+        // older builds speak, built here byte by byte.
+        let body = payload.to_wire_bytes();
+        let bare = seal_frame(NodeId(from), TraceCtx::NONE, None, &body);
+        let mut reference = Vec::new();
+        reference.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
+        reference.extend_from_slice(&[WIRE_VERSION, 0]);
+        reference.extend_from_slice(&from.to_le_bytes());
+        reference.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        reference.extend_from_slice(&body);
+        prop_assert_eq!(&bare, &reference);
 
         let key = AuthKey::from_passphrase(&phrase);
-        let sealed = encode_frame_sealed(NodeId(from), ctx, Some(&key), &payload);
+        let sealed = seal_frame(NodeId(from), ctx, Some(&key), &body);
         prop_assert_eq!(
             sealed.len(),
             FRAME_HEADER_BYTES
                 + if ctx.is_some() { 9 } else { 0 }
                 + AUTH_TAG_BYTES
-                + payload.to_wire_bytes().len()
+                + body.len()
         );
         // Keyed decode verifies and round-trips; keyless decode skips the
         // tag and still round-trips (mixed-cluster interop).
@@ -152,7 +160,7 @@ proptest! {
         mangle_seed in 0u64..=u64::MAX,
     ) {
         let key = AuthKey::from_passphrase("property-suite");
-        let sealed = encode_frame_sealed(NodeId(7), TraceCtx::NONE, Some(&key), &payload);
+        let sealed = seal_frame(NodeId(7), TraceCtx::NONE, Some(&key), &payload.to_wire_bytes());
         let mut rng = SmallRng::seed_from_u64(mangle_seed);
         for _ in 0..8 {
             let cut = rng.gen_range(0..sealed.len());
@@ -172,11 +180,11 @@ proptest! {
 
     #[test]
     fn foreign_versions_are_rejected(version in 0u8..=255, x in 0u64..=u64::MAX) {
-        let mut frame = encode_frame(NodeId(0), &x);
+        let mut frame = seal_frame(NodeId(0), TraceCtx::NONE, None, &x.to_wire_bytes());
         frame[2] = version;
-        let result = decode_frame::<u64>(&frame);
+        let result = decode_frame_sealed::<u64>(&frame, None);
         if version == WIRE_VERSION {
-            prop_assert_eq!(result.unwrap().1, x);
+            prop_assert_eq!(result.unwrap().2, x);
         } else {
             prop_assert_eq!(result, Err(WireError::VersionMismatch { found: version }));
         }
@@ -187,10 +195,10 @@ proptest! {
 fn oversized_claims_are_rejected_without_allocation() {
     // Header claiming u32::MAX payload bytes over an 8-byte body: the
     // decoder must reject on the length field, before trusting it.
-    let mut frame = encode_frame(NodeId(0), &1u64);
+    let mut frame = seal_frame(NodeId(0), TraceCtx::NONE, None, &1u64.to_wire_bytes());
     frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
-        decode_frame::<u64>(&frame),
+        decode_frame_sealed::<u64>(&frame, None),
         Err(WireError::Oversized {
             claimed: u32::MAX as usize,
             limit: MAX_PAYLOAD_BYTES,

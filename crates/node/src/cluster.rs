@@ -69,9 +69,9 @@ where
             .map(|(i, socket)| {
                 let me = NodeId::new(i);
                 NodeHost::from_socket(socket, me, peers.clone(), seed, factory(me))
-                    .map(|host| host.with_epoch(epoch))
+                    .with_epoch(epoch)
             })
-            .collect::<io::Result<_>>()?;
+            .collect();
         Ok(LoopbackCluster {
             hosts,
             status: None,
@@ -239,17 +239,7 @@ where
         if let Some(host) = self.hosts.first() {
             let _ = writeln!(page, "uptime_us: {}", host.now_us());
         }
-        let total = self.total_stats();
-        let _ = writeln!(
-            page,
-            "sent: {} datagrams / {} bytes ({} errors, {} oversize)",
-            total.datagrams_sent, total.bytes_sent, total.send_errors, total.send_oversize
-        );
-        let _ = writeln!(
-            page,
-            "received: {} datagrams / {} bytes ({} decode errors)",
-            total.datagrams_received, total.bytes_received, total.decode_errors
-        );
+        self.total_stats().write_wire_lines(&mut page);
         for host in &self.hosts {
             let now = host.now_us();
             for (key, value) in host.handler().status_lines(now) {

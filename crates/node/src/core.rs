@@ -14,11 +14,12 @@
 //!   [`FrameSink`], the one-method trait a host implements to put frame
 //!   bytes on its transport.
 //!
-//! This split is what makes the core host-agnostic: the blocking
-//! reactor ([`Reactor`](crate::Reactor)), the loopback cluster's
-//! single-thread and per-core passes and any test harness drive the
-//! *same* engine, so dispatch order, stats and authentication policy
-//! cannot drift between deployment shapes.
+//! This split is what makes the core host-agnostic: the socket host
+//! ([`NodeHost`](crate::NodeHost)) in its blocking and non-blocking
+//! loops, the loopback cluster's single-thread and per-core passes and
+//! any test harness (the `Vec` [`FrameSink`] captures frames with no
+//! socket at all) drive the *same* engine, so dispatch order, stats and
+//! authentication policy cannot drift between deployment shapes.
 
 use gossip_net::{
     decode_frame_sealed, node_rng, seal_frame, AuthKey, Handler, Mailbox, Metrics, NodeId, Phase,
@@ -36,20 +37,13 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Where a [`NodeCore`]'s outbound frames go: the one seam between the
-/// protocol engine and a host's transport. `NodeHost` implements it with
-/// `UdpSocket::send_to`; tests implement it with a `Vec` of captured
-/// frames.
+/// protocol engine and a host's transport. `NodeHost` sends through a
+/// `&UdpSocket` (`send_to`); tests capture frames in a `Vec`.
 pub trait FrameSink {
     /// Put one encoded frame on the wire towards `addr`. Fire-and-forget
     /// semantics: an `Err` is counted by the core as a send error, never
     /// surfaced to the handler.
     fn send_frame(&mut self, addr: SocketAddr, frame: &[u8]) -> io::Result<usize>;
-}
-
-impl FrameSink for std::net::UdpSocket {
-    fn send_frame(&mut self, addr: SocketAddr, frame: &[u8]) -> io::Result<usize> {
-        self.send_to(frame, addr)
-    }
 }
 
 impl FrameSink for &std::net::UdpSocket {
@@ -215,6 +209,30 @@ impl NodeStats {
             "Frames whose source address differs from the address book",
             &[],
             self.addr_mismatches,
+        );
+    }
+
+    /// Append the `sent:` and `received:` lines of a `/status` page —
+    /// every send and receive counter, rejects by cause included. Node
+    /// and cluster pages both render their wire counters through this.
+    pub fn write_wire_lines(&self, page: &mut String) {
+        use std::fmt::Write;
+        let _ = writeln!(
+            page,
+            "sent: {} datagrams / {} bytes ({} errors, {} oversize)",
+            self.datagrams_sent, self.bytes_sent, self.send_errors, self.send_oversize
+        );
+        let _ = writeln!(
+            page,
+            "received: {} datagrams / {} bytes ({} recv errors, {} decode errors, \
+             {} auth rejects, {} unknown senders, {} addr mismatches)",
+            self.datagrams_received,
+            self.bytes_received,
+            self.recv_errors,
+            self.decode_errors,
+            self.auth_reject,
+            self.unknown_sender_drops,
+            self.addr_mismatches
         );
     }
 
@@ -663,26 +681,7 @@ impl<H: Handler> NodeCore<H> {
                 "off"
             }
         );
-        let _ = writeln!(
-            page,
-            "sent: {} datagrams / {} bytes ({} errors, {} oversize)",
-            self.stats.datagrams_sent,
-            self.stats.bytes_sent,
-            self.stats.send_errors,
-            self.stats.send_oversize
-        );
-        let _ = writeln!(
-            page,
-            "received: {} datagrams / {} bytes ({} recv errors, {} decode errors, \
-             {} auth rejects, {} unknown senders, {} addr mismatches)",
-            self.stats.datagrams_received,
-            self.stats.bytes_received,
-            self.stats.recv_errors,
-            self.stats.decode_errors,
-            self.stats.auth_reject,
-            self.stats.unknown_sender_drops,
-            self.stats.addr_mismatches
-        );
+        self.stats.write_wire_lines(&mut page);
         let _ = writeln!(
             page,
             "timers: {} fired, {} cancelled, lag p99 {} us",

@@ -4,13 +4,22 @@
 //! `ShardedDriver`: the same callbacks, the same [`Mailbox`] surface, but
 //! `send` writes a [wire frame](gossip_net::wire) to a real
 //! [`UdpSocket`] and `now_us` reads a real clock.
-//! Internally it is a thin pairing of the two halves the host layer
-//! splits into:
 //!
-//! * [`NodeCore`] — the per-node protocol engine: handler, timer queue,
-//!   address book, RNG, stats, trace ring, authentication key. No I/O.
-//! * [`Reactor`] — the I/O engine: the socket, the receive buffer and
-//!   the HTTP status pump, driving the core through one readiness loop.
+//! A host owns everything the OS hands out — the bound socket, the receive
+//! buffer, the socket's cached blocking mode and read timeout, and the
+//! optional non-blocking [`HttpServer`] — and hands all protocol state to
+//! a [`NodeCore`] (handler, timer queue, address book, RNG, stats, trace
+//! ring, authentication key; no I/O). One private readiness pass drives
+//! the core, with two entry points:
+//!
+//! * [`poll`](NodeHost::poll) — non-blocking: fire due timers, drain up
+//!   to a batch of waiting datagrams (re-checking timers between
+//!   packets), answer status scrapes, return. The loopback cluster's
+//!   round-robin passes use this, on one thread or on one worker per core.
+//! * [`run_until_deadline`](NodeHost::run_until_deadline) — blocking: the
+//!   same pass, but the socket wait sleeps in the kernel, bounded by the
+//!   next due timer and [`MAX_BLOCK_WAIT`] so timers and scrapes stay
+//!   punctual. Deployed single-node loops use this.
 //!
 //! The event loop keeps the driver's dispatch discipline where reality
 //! permits it:
@@ -34,21 +43,42 @@
 //! HMAC-SHA256 tag and drops (counts, never panics) every inbound frame
 //! that does not verify.
 
-use crate::core::NodeCore;
-use crate::reactor::Reactor;
+use crate::core::{NodeCore, Recv};
 
 pub use crate::core::NodeStats;
 use gossip_net::{AuthKey, Handler, Mailbox, Metrics, NodeId, WireMsg};
-use gossip_obs::{Histogram, TraceRing};
+use gossip_obs::{Histogram, HttpServer, TraceRing};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
+
+/// Largest datagram a host will accept (header + max payload).
+const RECV_BUF_BYTES: usize = 1 << 16;
+
+/// Datagrams drained per pump pass before yielding, so a flood cannot
+/// starve the timer queue or the caller's loop.
+const MAX_RECV_BATCH: usize = 64;
+
+/// Ceiling on one blocking wait in
+/// [`run_until_deadline`](NodeHost::run_until_deadline): the loop wakes at
+/// least this often to re-check timers, deadlines and status scrapes.
+/// This is the host's *poll quantum* — the worst-case lag a timer or a
+/// scrape can see from the host sleeping in the kernel.
+pub const MAX_BLOCK_WAIT: Duration = Duration::from_millis(10);
 
 /// One node of a real deployment: a [`Handler`] driven by a UDP socket.
 /// See the module docs for the dispatch discipline.
 pub struct NodeHost<H: Handler> {
     core: NodeCore<H>,
-    reactor: Reactor,
+    socket: UdpSocket,
+    recv_buf: Vec<u8>,
+    /// Cached blocking mode, so pump passes flip the socket option only
+    /// on an actual change.
+    nonblocking: bool,
+    read_timeout: Option<Duration>,
+    /// The `/metrics` + `/status` endpoint (`None` until
+    /// [`serve_status`](NodeHost::serve_status)).
+    status: Option<HttpServer>,
 }
 
 impl<H: Handler> NodeHost<H>
@@ -66,7 +96,7 @@ where
         handler: H,
     ) -> io::Result<Self> {
         let socket = UdpSocket::bind(bind_addr)?;
-        Self::from_socket(socket, me, peers, seed, handler)
+        Ok(Self::from_socket(socket, me, peers, seed, handler))
     }
 
     /// Host `handler` on an already-bound socket. `peers.len()` is the
@@ -77,11 +107,15 @@ where
         peers: Vec<SocketAddr>,
         seed: u64,
         handler: H,
-    ) -> io::Result<Self> {
-        Ok(NodeHost {
+    ) -> Self {
+        NodeHost {
             core: NodeCore::new(me, peers, seed, handler),
-            reactor: Reactor::from_socket(socket),
-        })
+            socket,
+            recv_buf: vec![0; RECV_BUF_BYTES],
+            nonblocking: false,
+            read_timeout: None,
+            status: None,
+        }
     }
 
     /// Share a clock origin with other hosts (a cluster passes one
@@ -113,7 +147,7 @@ where
     /// Run `on_start` once. Idempotent; [`poll`](NodeHost::poll) and the
     /// blocking loops call it implicitly.
     pub fn start(&mut self) {
-        self.core.start(&mut self.reactor.socket());
+        self.core.start(&mut &self.socket);
     }
 
     /// Run `f` against the handler with a live mailbox, outside the event
@@ -123,7 +157,7 @@ where
     /// a callback. Starts the host if it has not started yet, so the
     /// handler is never observed pre-`on_start`.
     pub fn with_handler(&mut self, f: impl FnOnce(&mut H, &mut dyn Mailbox<H::Msg>)) {
-        self.core.with_handler(&mut self.reactor.socket(), f);
+        self.core.with_handler(&mut &self.socket, f);
     }
 
     /// One non-blocking pump: fire every due timer, then drain up to a
@@ -131,7 +165,7 @@ where
     /// Returns the number of callbacks dispatched; `0` means idle. Never
     /// blocks — the loopback cluster round-robins this across hosts.
     pub fn poll(&mut self) -> usize {
-        self.reactor.pump(&mut self.core, None)
+        self.pump(None)
     }
 
     /// Blocking event loop until `deadline`: sleeps in the kernel on the
@@ -143,7 +177,7 @@ where
             if now >= deadline {
                 return;
             }
-            self.reactor.pump(&mut self.core, Some(deadline - now));
+            self.pump(Some(deadline - now));
         }
     }
 
@@ -156,8 +190,108 @@ where
     /// loops; callable directly when the host is otherwise paused (a test
     /// scraping `/metrics` mid-run against frozen stats does exactly
     /// this). Returns the number of requests served.
+    ///
+    /// The socket address for `/status` is looked up per request served,
+    /// so a pass with no server, or no pending request, makes no syscall.
     pub fn pump_status(&mut self) -> usize {
-        self.reactor.pump_status(&self.core)
+        let (core, socket) = (&self.core, &self.socket);
+        match &mut self.status {
+            Some(server) => server.poll(|req| core.respond(req, socket.local_addr().ok())),
+            None => 0,
+        }
+    }
+
+    /// One readiness pass over the core — the single event loop behind
+    /// both entry points (see the module docs). `wait` is the largest
+    /// time this call may spend blocked in the kernel: `None` never
+    /// blocks; `Some(budget)` sleeps on the socket for up to
+    /// `budget.min(`[`MAX_BLOCK_WAIT`]`)`, additionally bounded by the
+    /// next due timer so timers never lag more than one poll quantum
+    /// behind a sleeping socket. Returns the number of callbacks
+    /// dispatched; `0` means the pass was idle.
+    fn pump(&mut self, wait: Option<Duration>) -> usize {
+        self.core.start(&mut &self.socket);
+        let mut dispatched = self.core.fire_due_timers(&mut &self.socket);
+        match wait {
+            None => {
+                self.set_nonblocking(true);
+                for _ in 0..MAX_RECV_BATCH {
+                    match self.recv_one() {
+                        Recv::Dispatched => dispatched += 1,
+                        Recv::Rejected | Recv::Error => {} // counted, not dispatched
+                        Recv::Idle => break,               // nothing waiting
+                    }
+                    dispatched += self.core.fire_due_timers(&mut &self.socket);
+                }
+            }
+            Some(budget) => {
+                self.set_nonblocking(false);
+                let mut wait = budget.min(MAX_BLOCK_WAIT);
+                if let Some(until_due) = self.core.until_next_timer() {
+                    wait = wait.min(until_due);
+                }
+                // set_read_timeout(Some(0)) is an error; anything due
+                // fires on the next pump anyway.
+                self.set_read_timeout(wait.max(Duration::from_micros(100)));
+                if let Recv::Error = self.recv_one() {
+                    // A socket in a persistent error state returns
+                    // instantly instead of sleeping on its timeout; back
+                    // off so the loop cannot busy-spin a core — but never
+                    // past the next due timer (or the caller's budget),
+                    // so an erroring socket cannot add timer lag.
+                    let mut backoff = Duration::from_millis(1).min(budget);
+                    if let Some(until_due) = self.core.until_next_timer() {
+                        backoff = backoff.min(until_due);
+                    }
+                    std::thread::sleep(backoff);
+                } else {
+                    dispatched += self.core.fire_due_timers(&mut &self.socket);
+                }
+            }
+        }
+        self.pump_status();
+        dispatched
+    }
+
+    /// Receive and deliver one datagram into the core.
+    fn recv_one(&mut self) -> Recv {
+        let (len, src) = match self.socket.recv_from(&mut self.recv_buf) {
+            Ok(got) => got,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Recv::Idle,
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => return Recv::Idle,
+            // Other kernel-level errors (e.g. a previous send's ICMP
+            // port-unreachable surfacing on Linux) are not fatal to the
+            // loop, but they are counted — and the blocking pump backs off
+            // on them, since an erroring socket returns without sleeping.
+            Err(_) => {
+                self.core.note_recv_error();
+                return Recv::Error;
+            }
+        };
+        self.core
+            .on_datagram(&self.recv_buf[..len], src, &mut &self.socket)
+    }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) {
+        if self.nonblocking != nonblocking {
+            // Failing to flip the mode would hang the loop; this is the
+            // one socket option the host cannot run without.
+            self.socket
+                .set_nonblocking(nonblocking)
+                .expect("set_nonblocking is supported on every UDP target");
+            self.nonblocking = nonblocking;
+        }
+    }
+
+    /// Bound one blocking receive, so the blocking pump wakes for timers,
+    /// deadlines and status scrapes.
+    fn set_read_timeout(&mut self, timeout: Duration) {
+        if self.read_timeout != Some(timeout) {
+            self.socket
+                .set_read_timeout(Some(timeout))
+                .expect("set_read_timeout accepts any positive duration");
+            self.read_timeout = Some(timeout);
+        }
     }
 }
 
@@ -174,7 +308,7 @@ impl<H: Handler> NodeHost<H> {
 
     /// The socket's actual bound address (useful after binding port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.reactor.local_addr()
+        self.socket.local_addr()
     }
 
     /// Microseconds since the host's epoch — what handler callbacks see as
@@ -236,12 +370,15 @@ impl<H: Handler> NodeHost<H> {
     /// no executor. Scrapes observe the host between callbacks, never
     /// during one.
     pub fn serve_status(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        self.reactor.serve_status(addr)
+        let server = HttpServer::bind(addr)?;
+        let bound = server.local_addr()?;
+        self.status = Some(server);
+        Ok(bound)
     }
 
     /// The status endpoint's bound address, if serving.
     pub fn status_addr(&self) -> Option<SocketAddr> {
-        self.reactor.status_addr()
+        self.status.as_ref().and_then(|s| s.local_addr().ok())
     }
 
     /// Route everything this host knows into one registry: wire counters,
@@ -256,7 +393,40 @@ impl<H: Handler + std::fmt::Debug> std::fmt::Debug for NodeHost<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeHost")
             .field("core", &self.core)
-            .field("reactor", &self.reactor)
-            .finish()
+            .field("local_addr", &self.socket.local_addr().ok())
+            .field("nonblocking", &self.nonblocking)
+            .field("status", &self.status_addr())
+            .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gossip_net::TimerId;
+
+    /// A handler that never sends: the host's I/O is all this test drives.
+    struct Silent;
+
+    impl Handler for Silent {
+        type Msg = u64;
+        fn on_start(&mut self, _: &mut dyn Mailbox<u64>) {}
+        fn on_message(&mut self, _: NodeId, _: u64, _: &mut dyn Mailbox<u64>) {}
+        fn on_timer(&mut self, _: TimerId, _: &mut dyn Mailbox<u64>) {}
+    }
+
+    #[test]
+    fn pump_status_without_a_server_serves_nothing() {
+        let socket = match UdpSocket::bind(("127.0.0.1", 0)) {
+            Ok(socket) => socket,
+            Err(e) if cfg!(feature = "sockets-required") => {
+                panic!("sockets-required is on but loopback binding failed: {e}")
+            }
+            Err(_) => return, // the sandbox forbids binds
+        };
+        let me = socket.local_addr().expect("bound socket has an address");
+        let mut host = NodeHost::from_socket(socket, NodeId::new(0), vec![me], 1, Silent);
+        assert_eq!(host.status_addr(), None);
+        assert_eq!(host.pump_status(), 0);
     }
 }

@@ -13,10 +13,16 @@
 //!                        UdpSocket  ⇄  the actual network
 //! ```
 //!
-//! * [`NodeHost`] — one node: a bound UDP socket, a peer address book, a
-//!   monotonic timer queue (with `cancel_timer` and host jitter), and an
-//!   event loop that keeps the simulators' `(timestamp, seq)` dispatch
+//! * [`NodeHost`] — one node: a bound UDP socket and its event loop
+//!   (non-blocking [`poll`](NodeHost::poll) or blocking
+//!   [`run_until_deadline`](NodeHost::run_until_deadline)), driving a
+//!   [`NodeCore`] that keeps the simulators' `(timestamp, seq)` dispatch
 //!   discipline wherever reality permits it.
+//! * [`NodeCore`] — the node minus I/O: handler, peer address book,
+//!   monotonic timer queue (with `cancel_timer` and host jitter), RNG,
+//!   stats, trace ring and auth key. Frames leave through a
+//!   [`FrameSink`] and arrive through [`NodeCore::on_datagram`], so tests
+//!   can drive it with no socket at all.
 //! * [`LoopbackCluster`] — N hosts on 127.0.0.1 ephemeral ports, pumped
 //!   round-robin from the calling thread or, through
 //!   `run_parallel_until`, from one worker thread per core: the
@@ -42,9 +48,7 @@
 pub mod cluster;
 pub mod core;
 pub mod host;
-pub mod reactor;
 
 pub use crate::core::{FrameSink, NodeCore, NodeStats, Recv};
 pub use cluster::LoopbackCluster;
-pub use host::NodeHost;
-pub use reactor::{Reactor, MAX_BLOCK_WAIT};
+pub use host::{NodeHost, MAX_BLOCK_WAIT};

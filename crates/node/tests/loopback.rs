@@ -7,10 +7,11 @@
 //! skip is a failure.
 
 use gossip_net::{
-    encode_frame, Handler, Mailbox, NodeId, Phase, TimerId, WireError, WireMsg, WireReader,
+    seal_frame, Handler, Mailbox, NodeId, Phase, TimerId, WireError, WireMsg, WireReader,
     WireWriter,
 };
 use gossip_node::LoopbackCluster;
+use gossip_obs::TraceCtx;
 use std::time::Duration;
 
 /// Probe for loopback UDP. Under `--features sockets-required` a failed
@@ -202,12 +203,22 @@ fn hostile_datagrams_are_counted_never_fatal() {
     // Garbage, a truncated frame, a version-skewed frame, and a frame from
     // a sender id outside the cluster.
     attacker.send_to(b"not a frame at all", target).unwrap();
-    let good = encode_frame(NodeId::new(1), &Ping(7));
+    let good = seal_frame(
+        NodeId::new(1),
+        TraceCtx::NONE,
+        None,
+        &Ping(7).to_wire_bytes(),
+    );
     attacker.send_to(&good[..good.len() / 2], target).unwrap();
     let mut skewed = good.clone();
     skewed[2] ^= 0x40;
     attacker.send_to(&skewed, target).unwrap();
-    let foreign = encode_frame(NodeId::new(99), &Ping(13));
+    let foreign = seal_frame(
+        NodeId::new(99),
+        TraceCtx::NONE,
+        None,
+        &Ping(13).to_wire_bytes(),
+    );
     attacker.send_to(&foreign, target).unwrap();
     // And one well-formed frame claiming to be node 1 (source mismatch:
     // the attacker's port, not node 1's).
@@ -255,7 +266,6 @@ fn timer_jitter_still_fires_and_spreads_arming() {
                     tick_us: 500,
                 },
             )
-            .unwrap()
             .with_timer_jitter_us(400)
         })
         .collect();
@@ -286,7 +296,7 @@ impl Handler for Oversender {
         if mailbox.me().index() == 0 {
             // 4 + 9_000 × 8 bytes of payload: beyond the 65,000-byte frame
             // ceiling. Detected before the kernel; counted, not sent, and
-            // emphatically not a panic (encode_frame would have asserted).
+            // emphatically not a panic.
             mailbox.send(NodeId::new(1), Phase::Other, 32, vec![7u64; 9_000]);
             // A sane message right after: the socket must still work.
             mailbox.send(NodeId::new(1), Phase::Other, 32, vec![42u64]);
@@ -418,7 +428,7 @@ fn one_causal_chain_crosses_four_real_hosts() {
 /// Regression for the blocking loop's backoff: timer lag under bursty
 /// traffic must stay within one poll quantum ([`MAX_BLOCK_WAIT`]). The
 /// old loop slept a hard-coded 1 ms on socket errors regardless of what
-/// was due; the reactor bounds every wait — including the error backoff —
+/// was due; the host bounds every wait — including the error backoff —
 /// by the next due timer.
 #[test]
 fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
@@ -430,7 +440,7 @@ fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
     let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     let target = socket.local_addr().unwrap();
     let mut host =
-        gossip_node::NodeHost::from_socket(socket, NodeId::new(0), vec![target], 3, Tick).unwrap();
+        gossip_node::NodeHost::from_socket(socket, NodeId::new(0), vec![target], 3, Tick);
 
     // A background flood: bursts of garbage and well-formed frames, far
     // faster than the 2 ms tick, for the whole run.
@@ -439,7 +449,7 @@ fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
         let stop = stop.clone();
         std::thread::spawn(move || {
             let gun = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-            let frame = encode_frame(NodeId::new(0), &0u64);
+            let frame = seal_frame(NodeId::new(0), TraceCtx::NONE, None, &0u64.to_wire_bytes());
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 for _ in 0..64 {
                     let _ = gun.send_to(&frame, target);
@@ -486,8 +496,7 @@ impl Handler for Tick {
 
 #[test]
 fn authenticated_cluster_converges_and_rejects_hostile_frames() {
-    use gossip_net::{encode_frame_sealed, AuthKey};
-    use gossip_obs::TraceCtx;
+    use gossip_net::AuthKey;
 
     if !sockets_available() {
         return;
@@ -505,20 +514,15 @@ fn authenticated_cluster_converges_and_rejects_hostile_frames() {
     cluster.poll(); // boot so local_addr is live
     let target = cluster.host(NodeId::new(0)).local_addr().unwrap();
     let attacker = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    let bare = encode_frame(NodeId::new(1), &vec![666u32]);
+    let payload = vec![666u32].to_wire_bytes();
+    let bare = seal_frame(NodeId::new(1), TraceCtx::NONE, None, &payload);
     attacker.send_to(&bare, target).unwrap();
-    let mut tampered =
-        encode_frame_sealed(NodeId::new(1), TraceCtx::NONE, Some(&key), &vec![666u32]);
+    let mut tampered = seal_frame(NodeId::new(1), TraceCtx::NONE, Some(&key), &payload);
     let last = tampered.len() - 1;
     tampered[last] ^= 0x01;
     attacker.send_to(&tampered, target).unwrap();
     let wrong_key = AuthKey::from_passphrase("not-the-cluster-key");
-    let forged = encode_frame_sealed(
-        NodeId::new(1),
-        TraceCtx::NONE,
-        Some(&wrong_key),
-        &vec![666u32],
-    );
+    let forged = seal_frame(NodeId::new(1), TraceCtx::NONE, Some(&wrong_key), &payload);
     attacker.send_to(&forged, target).unwrap();
 
     // The protocol still converges around the hostile traffic.

@@ -17,7 +17,7 @@
 use gossip_ae::protocol::{AeConfig, AeNode, DigestMode};
 use gossip_ae::signal::SignalModel;
 use gossip_member::{Member, MemberConfig};
-use gossip_net::{frame_with_payload, seal_frame, AuthKey, NodeId};
+use gossip_net::{seal_frame, AuthKey, NodeId};
 use gossip_node::{LoopbackCluster, NodeHost};
 use gossip_obs::{Registry, TraceCtx};
 use std::io::{Read, Write};
@@ -153,7 +153,7 @@ fn sixty_four_nodes_on_per_core_workers_converge_under_auth_and_hostile_traffic(
         .map(|h| h.local_addr().expect("bound socket has an address"))
         .collect();
     let wrong_key = AuthKey::from_passphrase("not-the-cluster-key");
-    let bare = frame_with_payload(NodeId::new(1), b"forged");
+    let bare = seal_frame(NodeId::new(1), TraceCtx::NONE, None, b"forged");
     let mut tampered = seal_frame(NodeId::new(1), TraceCtx::NONE, Some(&key), b"forged");
     *tampered.last_mut().unwrap() ^= 0x01;
     let sealed_wrong = seal_frame(NodeId::new(1), TraceCtx::NONE, Some(&wrong_key), b"forged");

@@ -8,9 +8,9 @@
 
 use gossip_ae::protocol::{AeConfig, AeNode};
 use gossip_ae::signal::SignalModel;
-use gossip_net::{NodeId, SimConfig};
+use gossip_net::{seal_frame, AuthKey, NodeId, SimConfig};
 use gossip_node::{LoopbackCluster, NodeHost};
-use gossip_obs::Registry;
+use gossip_obs::{Registry, TraceCtx};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -177,6 +177,42 @@ fn scraped_metrics_agree_byte_exactly_with_in_process_stats() {
     assert!(page.contains(&format!("ae.store: {n}/{n} origins known")));
 }
 
+/// The cluster `/status` page shows every reject cause, like a node's
+/// page: one bare frame at a keyed cluster reads as one auth reject.
+#[test]
+fn keyed_cluster_status_page_counts_auth_rejects() {
+    if !sockets_available() {
+        return;
+    }
+    let n = 2;
+    let mut cluster = LoopbackCluster::bind(n, 0xA17, ae_factory(n))
+        .expect("bind cluster")
+        .with_auth_key(AuthKey::from_passphrase("cluster-status-key"));
+    let status = cluster.serve_status(("127.0.0.1", 0)).expect("bind status");
+    cluster.poll(); // boot
+    let target = cluster.host(NodeId::new(0)).local_addr().unwrap();
+    let attacker = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let bare = seal_frame(NodeId::new(1), TraceCtx::NONE, None, b"forged");
+    attacker.send_to(&bare, target).unwrap();
+    let counted = cluster.run_until(GENEROUS, |hosts| {
+        hosts.iter().map(|h| h.stats().auth_reject).sum::<u64>() == 1
+    });
+    assert!(counted.is_some(), "the bare frame reaches node 0");
+
+    let (code, page) = get(status, "/status", || {
+        cluster.pump_status();
+    });
+    assert_eq!(code, 200);
+    let received = page
+        .lines()
+        .find(|l| l.starts_with("received: "))
+        .expect("status page has a received line");
+    assert!(
+        received.contains(" 0 decode errors, 1 auth rejects, 0 unknown senders,"),
+        "{received}"
+    );
+}
+
 #[test]
 fn member_host_serves_metrics_status_and_trace() {
     if !sockets_available() {
@@ -196,9 +232,7 @@ fn member_host_serves_metrics_status_and_trace() {
         .enumerate()
         .map(|(i, socket)| {
             let me = NodeId::new(i);
-            NodeHost::from_socket(socket, me, peers.clone(), 0xFACE, factory(me))
-                .expect("host")
-                .with_trace(128)
+            NodeHost::from_socket(socket, me, peers.clone(), 0xFACE, factory(me)).with_trace(128)
         })
         .collect();
     let status = hosts[0]
@@ -268,9 +302,7 @@ fn trace_query_filters_narrow_the_page_and_hostile_queries_get_400() {
         .enumerate()
         .map(|(i, socket)| {
             let me = NodeId::new(i);
-            NodeHost::from_socket(socket, me, peers.clone(), 0x7F17, factory(me))
-                .expect("host")
-                .with_trace(256)
+            NodeHost::from_socket(socket, me, peers.clone(), 0x7F17, factory(me)).with_trace(256)
         })
         .collect();
     let status = hosts[0]

@@ -352,10 +352,8 @@ impl TraceRing {
     /// Move every retained event into `dst` (oldest first), preserving
     /// `dst`'s capacity bound. Used to merge per-shard rings at barriers.
     pub fn drain_into(&mut self, dst: &mut TraceRing) {
-        // The receiving ring's `total` already advances inside push();
-        // subtract the retained count so totals add, not double-count...
-        // actually totals must reflect *recorded* events: dst absorbs
-        // self's overwritten count too, so nothing is lost at a merge.
+        // `dst.total` grows by `self.total`: `push` counts each retained
+        // event, and this line counts the ones `self` already evicted.
         dst.total += self.overwritten();
         for event in self.events.drain(..) {
             dst.push(event);

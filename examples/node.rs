@@ -169,7 +169,8 @@ fn spawn_attacker(
     std::sync::Arc<std::sync::atomic::AtomicBool>,
     std::thread::JoinHandle<u64>,
 ) {
-    use drr_gossip::net::{frame_with_payload, seal_frame};
+    use drr_gossip::net::seal_frame;
+    use drr_gossip::obs::TraceCtx;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     let stop = Arc::new(AtomicBool::new(false));
@@ -177,10 +178,9 @@ fn spawn_attacker(
     let handle = std::thread::spawn(move || {
         let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).expect("attacker socket");
         let from = NodeId::new(1);
-        let mut frames: Vec<Vec<u8>> = vec![frame_with_payload(from, b"forged")];
+        let mut frames: Vec<Vec<u8>> = vec![seal_frame(from, TraceCtx::NONE, None, b"forged")];
         if let Some(key) = &key {
-            let mut tampered =
-                seal_frame(from, drr_gossip::obs::TraceCtx::NONE, Some(key), b"forged");
+            let mut tampered = seal_frame(from, TraceCtx::NONE, Some(key), b"forged");
             *tampered.last_mut().unwrap() ^= 0x01;
             frames.push(tampered);
         }
